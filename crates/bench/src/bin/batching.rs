@@ -28,6 +28,10 @@ const BATCHED_SIZE: usize = 32;
 /// Runs per configuration; the median-throughput run is reported
 /// (thread scheduling on small machines makes single runs noisy).
 const RUNS: usize = 3;
+/// How much batching may add to p99 before the report flags it. In this
+/// closed-loop drain a held tuple waits for the rest of its frame, never
+/// for a timer, so the allowance is scheduling slack.
+const P99_BOUND_MS: f64 = 10.0;
 
 #[derive(Serialize, Clone, Copy)]
 struct Measurement {
@@ -49,8 +53,7 @@ struct BenchApp {
     speedup: f64,
     /// p99 increase of the batched run over baseline, milliseconds.
     p99_delta_ms: f64,
-    /// Whether the p99 increase stays within the documented bound
-    /// (`flush_interval_ms` linger plus one equal slack for scheduling).
+    /// Whether the p99 increase stays within [`P99_BOUND_MS`].
     p99_within_bound: bool,
     outputs_match: bool,
 }
@@ -63,8 +66,7 @@ struct BenchReport {
     tuples_per_app: usize,
     baseline_batch_size: usize,
     batched_batch_size: usize,
-    flush_interval_ms: u64,
-    /// p99 regression allowance in ms: 2 x flush_interval_ms.
+    /// p99 regression allowance in ms ([`P99_BOUND_MS`]).
     p99_bound_ms: f64,
     apps: Vec<BenchApp>,
 }
@@ -139,8 +141,6 @@ fn main() {
         .map(|v| v.parse().expect("--parallelism takes a number"))
         .unwrap_or(DEFAULT_PARALLELISM);
 
-    let flush_interval_ms = RunConfig::default().flush_interval_ms;
-    let p99_bound_ms = 2.0 * flush_interval_ms as f64;
     let baseline_ctl = controller_with_batch(1);
     let batched_ctl = controller_with_batch(BATCHED_SIZE);
 
@@ -179,7 +179,7 @@ fn main() {
             batched,
             speedup,
             p99_delta_ms,
-            p99_within_bound: p99_delta_ms <= p99_bound_ms,
+            p99_within_bound: p99_delta_ms <= P99_BOUND_MS,
             outputs_match,
         });
     }
@@ -191,8 +191,7 @@ fn main() {
         tuples_per_app: tuples,
         baseline_batch_size: 1,
         batched_batch_size: BATCHED_SIZE,
-        flush_interval_ms,
-        p99_bound_ms,
+        p99_bound_ms: P99_BOUND_MS,
         apps,
     };
     match serde_json::to_string_pretty(&report) {

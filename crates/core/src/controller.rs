@@ -278,8 +278,8 @@ impl Controller {
     }
 
     /// Replace the threaded-runtime configuration used by every subsequent
-    /// `run_threaded*` call — channel capacity, micro-batch size, linger
-    /// flush interval, watermark cadence. The default keeps the engine's
+    /// `run_threaded*` call — channel capacity, micro-batch size, watermark
+    /// cadence. The default keeps the engine's
     /// stock [`RunConfig`].
     pub fn with_run_config(mut self, config: RunConfig) -> Self {
         self.run_config = config;

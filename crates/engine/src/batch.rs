@@ -4,11 +4,21 @@
 //! per-(route, target) set of tuple builders. Data tuples are *scattered*
 //! into the builder their partitioner selects; a builder is flushed as one
 //! [`Batch`] frame when it reaches
-//! `RunConfig::batch_size` tuples ([`FlushReason::Size`]), when the worker's
-//! receive loop goes idle for `RunConfig::flush_interval_ms`
-//! ([`FlushReason::Linger`]), immediately before any marker — watermark,
-//! checkpoint barrier — is broadcast on the same edges
-//! ([`FlushReason::Marker`]), and at end of stream ([`FlushReason::Eos`]).
+//! `RunConfig::batch_size` tuples ([`FlushReason::Size`]), when the worker
+//! is about to wait for input ([`FlushReason::Linger`]), immediately before
+//! any marker — watermark, checkpoint barrier — is broadcast on the same
+//! edges ([`FlushReason::Marker`]), and at end of stream
+//! ([`FlushReason::Eos`]).
+//!
+//! **The idle rule.** No worker parks on its input while a builder holds
+//! tuples. `EdgeBatcher::next_input` is the only way a worker that owns a
+//! batcher receives: it takes what is already queued without blocking, and
+//! only when the inbox is empty flushes every builder and then blocks.
+//! A busy worker therefore still fills frames to `batch_size` — its inbox is
+//! never empty — while a paced one forwards each burst as soon as it has
+//! consumed it; no timer is involved. Sources follow the same rule: their
+//! inbox is the hand-off a reader thread feeds from the user's (possibly
+//! blocking) iterator (`exec::SourceFeed`).
 //!
 //! Flushing before every marker is the correctness keystone: each channel
 //! still sees exactly the tuples that preceded a marker *before* that
@@ -27,8 +37,54 @@ use crate::telemetry::Probe;
 use crate::value::Tuple;
 use crossbeam_channel::Sender;
 use pdsp_telemetry::{SpanKind, TraceContext};
+use std::sync::mpsc;
 
 pub use pdsp_telemetry::FlushReason;
+
+/// Every sender of an [`Inbox`] is gone and it has drained.
+pub(crate) struct Closed;
+
+/// What a worker waits on — an operator's envelope channel or a source's
+/// tuple hand-off — reduced to the two receives the idle rule needs.
+pub(crate) trait Inbox {
+    type Item;
+    /// Take an item that is already queued; `Ok(None)` when none is.
+    fn poll(&self) -> std::result::Result<Option<Self::Item>, Closed>;
+    /// Block until an item arrives.
+    fn wait(&self) -> std::result::Result<Self::Item, Closed>;
+}
+
+impl<T> Inbox for crossbeam_channel::Receiver<T> {
+    type Item = T;
+
+    fn poll(&self) -> std::result::Result<Option<T>, Closed> {
+        match self.try_recv() {
+            Ok(item) => Ok(Some(item)),
+            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
+            Err(crossbeam_channel::TryRecvError::Disconnected) => Err(Closed),
+        }
+    }
+
+    fn wait(&self) -> std::result::Result<T, Closed> {
+        self.recv().map_err(|_| Closed)
+    }
+}
+
+impl<T> Inbox for mpsc::Receiver<T> {
+    type Item = T;
+
+    fn poll(&self) -> std::result::Result<Option<T>, Closed> {
+        match self.try_recv() {
+            Ok(item) => Ok(Some(item)),
+            Err(mpsc::TryRecvError::Empty) => Ok(None),
+            Err(mpsc::TryRecvError::Disconnected) => Err(Closed),
+        }
+    }
+
+    fn wait(&self) -> std::result::Result<T, Closed> {
+        self.recv().map_err(|_| Closed)
+    }
+}
 
 /// Per-destination micro-batch builders for one worker's out-edges.
 pub(crate) struct EdgeBatcher {
@@ -201,7 +257,26 @@ impl EdgeBatcher {
             .map_err(|_| disconnected())
     }
 
-    /// Flush every non-empty builder (markers, linger timer, EOS).
+    /// The idle rule: the next item of `inbox`, flushing every builder
+    /// before — and only before — blocking for it. `Ok(None)` when the
+    /// inbox is closed; `Err` when a flush found downstream disconnected.
+    pub(crate) fn next_input<I: Inbox>(
+        &mut self,
+        inbox: &I,
+        routes: &[OutRoute],
+        downstream: &[Vec<Sender<Envelope>>],
+        probe: &Probe,
+    ) -> Result<Option<I::Item>> {
+        match inbox.poll() {
+            Ok(Some(item)) => return Ok(Some(item)),
+            Ok(None) => {}
+            Err(Closed) => return Ok(None),
+        }
+        self.flush_all(routes, downstream, probe, FlushReason::Linger)?;
+        Ok(inbox.wait().ok())
+    }
+
+    /// Flush every non-empty builder (about to wait, markers, EOS).
     pub(crate) fn flush_all(
         &mut self,
         routes: &[OutRoute],
@@ -347,6 +422,46 @@ mod tests {
             }
         }
         assert_eq!(total, 10, "hash scatter loses nothing");
+    }
+
+    #[test]
+    fn partial_output_is_forwarded_before_the_next_blocking_receive() {
+        // An operator's loop in miniature: one input frame on a channel that
+        // stays open and empty afterwards, three outputs at a bound of 64.
+        let routes = vec![route_to(1, Partitioning::Forward)];
+        let (down_tx, down_rx) = unbounded();
+        let downstream = vec![vec![down_tx]];
+        let (in_tx, in_rx) = unbounded::<Vec<i64>>();
+        in_tx.send(vec![1, 2, 3]).unwrap();
+        std::thread::scope(|s| {
+            let (routes, downstream) = (&routes, &downstream);
+            let worker = s.spawn(move || {
+                let mut b = EdgeBatcher::new(routes, 64);
+                let mut router = RouterState::new(1);
+                let probe = Probe::default();
+                let mut frames = 0;
+                while let Some(frame) = b.next_input(&in_rx, routes, downstream, &probe).unwrap() {
+                    frames += 1;
+                    for i in frame {
+                        b.scatter(routes, downstream, &mut router, &probe, tuple(i))
+                            .unwrap();
+                    }
+                }
+                frames
+            });
+            // The partial batch arrives while `in_tx` is still open, i.e.
+            // while the worker is parked in its second receive; the timeout
+            // is only how a broken rule fails instead of hanging.
+            let env = down_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("partial batch flushed before blocking");
+            match env.msg {
+                Message::Batch(batch) => assert_eq!(batch.len(), 3),
+                other => panic!("expected batch, got {other:?}"),
+            }
+            drop(in_tx);
+            assert_eq!(worker.join().unwrap(), 1);
+        });
     }
 
     #[test]

@@ -29,14 +29,14 @@ use crate::runtime::{panic_cause, pick_root_error, take_receiver, Envelope, RunC
 use crate::telemetry::Probe;
 use crate::transport::Transport;
 use crate::value::Tuple;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{Receiver, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// Time base for `emit_ns` / latency stamps.
 ///
@@ -153,41 +153,94 @@ pub(crate) enum Polled {
     Frame(Envelope),
     /// The received envelope was buffered (blocked channel); call again.
     Buffered,
-    /// Nothing arrived within the timeout — flush partial batches.
-    Idle,
     /// All input senders disconnected.
     Lost,
 }
 
 /// Pull the next processable envelope: buffered envelopes of unblocked
-/// channels first, then the shared receiver (bounded by `timeout` so callers
-/// can drain partial micro-batches on idle input). Frames — batches
+/// channels first, then whatever `recv` takes from the shared receiver
+/// (`Ok(None)` = disconnected) — [`EdgeBatcher::next_input`] for a worker
+/// with out-edges, a plain blocking receive for a sink. Frames — batches
 /// included — are buffered whole when their channel is blocked, which is
 /// what keeps exactly-once blocking correct at batch granularity.
 pub(crate) fn next_envelope(
-    rx: &Receiver<Envelope>,
     blocked: &[bool],
     pending: &mut [VecDeque<Envelope>],
-    timeout: Duration,
-) -> Polled {
+    recv: impl FnOnce() -> Result<Option<Envelope>>,
+) -> Result<Polled> {
     for (c, queue) in pending.iter_mut().enumerate() {
         if !blocked[c] {
             if let Some(env) = queue.pop_front() {
-                return Polled::Frame(env);
+                return Ok(Polled::Frame(env));
             }
         }
     }
-    match rx.recv_timeout(timeout) {
-        Ok(env) => {
-            if blocked[env.channel] {
-                pending[env.channel].push_back(env);
-                Polled::Buffered
-            } else {
-                Polled::Frame(env)
-            }
+    Ok(match recv()? {
+        Some(env) if blocked[env.channel] => {
+            pending[env.channel].push_back(env);
+            Polled::Buffered
         }
-        Err(RecvTimeoutError::Timeout) => Polled::Idle,
-        Err(RecvTimeoutError::Disconnected) => Polled::Lost,
+        Some(env) => Polled::Frame(env),
+        None => Polled::Lost,
+    })
+}
+
+/// Smallest source hand-off, in tuples. The hand-off holds one frame
+/// (`batch_size` tuples) so that a saturated source reads ahead — and, as
+/// `emit_ns` is stamped before it, adds queueing — by one frame only; but a
+/// reader and a worker that are both fast trade a wake-up each time it runs
+/// full or dry, and below about a hundred tuples those wake-ups set the
+/// source's rate (`batch_size: 1` ran WC/SG/SD at 26–40 k tuples/s on a
+/// one-tuple hand-off, 120–550 k on this one).
+const HANDOFF_MIN_TUPLES: usize = 128;
+
+/// A source worker's inbox: the user's iterator, which may block inside
+/// `next()` for as long as it likes, is pulled by a reader thread that
+/// stamps `emit_ns` and hands tuples over a bounded queue of one frame
+/// (`batch_size` tuples, at least [`HANDOFF_MIN_TUPLES`]). The source
+/// worker then receives like any operator ([`EdgeBatcher::next_input`]): a
+/// burst drains as one batch and is flushed when the hand-off runs dry,
+/// while a full hand-off pushes the worker's backpressure on into the
+/// iterator. Offsets, fault triggers and `tuples_out` count what the worker
+/// takes out, never what the reader has read ahead.
+pub(crate) struct SourceFeed {
+    pub(crate) rx: mpsc::Receiver<Tuple>,
+    reader: JoinHandle<()>,
+}
+
+impl SourceFeed {
+    /// Start reading instance `index` of `factory` from tuple `skip` on.
+    pub(crate) fn spawn(
+        factory: Arc<dyn SourceFactory>,
+        index: usize,
+        parallelism: usize,
+        skip: u64,
+        clock: RunClock,
+        batch_size: usize,
+    ) -> Self {
+        let (tx, rx) = mpsc::sync_channel(batch_size.max(HANDOFF_MIN_TUPLES));
+        let reader = std::thread::spawn(move || {
+            let iter = factory.instance_iter(index, parallelism);
+            for mut tuple in iter.skip(skip as usize) {
+                tuple.emit_ns = clock.now_ns();
+                if tx.send(tuple).is_err() {
+                    // The source worker failed and dropped the feed.
+                    return;
+                }
+            }
+        });
+        SourceFeed { rx, reader }
+    }
+
+    /// Call once `rx` reports closed: joins the reader and re-raises a
+    /// panic of the user's iterator on the calling source worker, whose
+    /// join then names the source node and instance. A worker that fails
+    /// instead just drops the feed — the reader may be asleep inside
+    /// `next()` and exits on its next failed send.
+    pub(crate) fn finish(self) {
+        if let Err(payload) = self.reader.join() {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -246,7 +299,6 @@ pub(crate) fn spawn_instances(
     let exactly_once = settings.exactly_once;
     let ckpt_interval = settings.ckpt_interval;
     let batch_size = settings.run.batch_size;
-    let flush_after = Duration::from_millis(settings.run.flush_interval_ms);
     let mut handles = Vec::new();
 
     for inst in &plan.instances {
@@ -299,14 +351,20 @@ pub(crate) fn spawn_instances(
                     let mut max_et = i64::MIN;
                     let mut emitted = start_offset;
                     counter[inst_id].store(emitted, Ordering::SeqCst);
-                    let iter = factory
-                        .instance_iter(index, parallelism)
-                        .skip(start_offset as usize);
-                    for mut tuple in iter {
+                    let feed = SourceFeed::spawn(
+                        factory,
+                        index,
+                        parallelism,
+                        start_offset,
+                        clock,
+                        batch_size,
+                    );
+                    while let Some(tuple) =
+                        batcher.next_input(&feed.rx, &route_meta, &downstream, &probe)?
+                    {
                         if let Some(inj) = &injector {
                             inj.check(lnode, index, emitted - start_offset)?;
                         }
-                        tuple.emit_ns = clock.now_ns();
                         max_et = max_et.max(tuple.event_time);
                         // Head sampling keys off the absolute source offset,
                         // so a restarted attempt re-traces the same tuples.
@@ -356,6 +414,7 @@ pub(crate) fn spawn_instances(
                             )?;
                         }
                     }
+                    feed.finish();
                     batcher.flush_then_broadcast(
                         &route_meta,
                         &downstream,
@@ -389,7 +448,10 @@ pub(crate) fn spawn_instances(
                     let mut seen_this_attempt = 0u64;
                     while closed < channels {
                         let wait = probe.now_if();
-                        let env = match next_envelope(&rx, &blocked, &mut pending, flush_after) {
+                        // Sinks send nothing downstream, so there is nothing
+                        // to flush before blocking.
+                        let recv = || Ok(rx.recv().ok());
+                        let env = match next_envelope(&blocked, &mut pending, recv)? {
                             Polled::Frame(env) => env,
                             Polled::Lost => {
                                 // Upstream died: hand the partial state to
@@ -399,9 +461,7 @@ pub(crate) fn spawn_instances(
                                     "sink '{name}' lost its input channels"
                                 )));
                             }
-                            // Sinks send nothing downstream, so idle
-                            // timeouts need no flush.
-                            Polled::Buffered | Polled::Idle => continue,
+                            Polled::Buffered => continue,
                         };
                         let work = probe.mark_idle(wait);
                         if probe.enabled() {
@@ -530,7 +590,6 @@ pub(crate) fn spawn_instances(
                     let mut out = Vec::new();
                     let mut closed = 0usize;
                     let (mut n_in, mut n_out, mut n_shed) = (0u64, 0u64, 0u64);
-                    let mut linger = flush_after;
                     let mut shed_fraction = 0.0f64;
                     // Context of the last traced frame absorbed by a windowed
                     // operator, consumed when a later pane fire emits results.
@@ -550,24 +609,13 @@ pub(crate) fn spawn_instances(
                         };
                     while closed < channels {
                         let wait = probe.now_if();
-                        let env = match next_envelope(&rx, &blocked, &mut pending, linger) {
+                        let recv = || batcher.next_input(&rx, &route_meta, &downstream, &probe);
+                        let env = match next_envelope(&blocked, &mut pending, recv)? {
                             Polled::Frame(env) => env,
                             Polled::Lost => {
                                 return Err(EngineError::Execution(format!(
                                     "operator '{name}' lost its input channels"
                                 )));
-                            }
-                            Polled::Idle => {
-                                // Nothing arrived within the linger window:
-                                // push partial batches downstream so quiet
-                                // streams keep bounded latency.
-                                batcher.flush_all(
-                                    &route_meta,
-                                    &downstream,
-                                    &probe,
-                                    FlushReason::Linger,
-                                )?;
-                                continue;
                             }
                             Polled::Buffered => continue,
                         };
@@ -586,17 +634,14 @@ pub(crate) fn spawn_instances(
                             match level {
                                 PressureLevel::Normal => {
                                     batcher.set_max(batch_size);
-                                    linger = flush_after;
                                     shed_fraction = 0.0;
                                 }
                                 PressureLevel::Batch => {
                                     batcher.set_max(batch_size * overload.batch_growth);
-                                    linger = (flush_after / 2).max(Duration::from_millis(1));
                                     shed_fraction = 0.0;
                                 }
                                 PressureLevel::Shed => {
                                     batcher.set_max(batch_size * overload.batch_growth);
-                                    linger = (flush_after / 2).max(Duration::from_millis(1));
                                     shed_fraction = g.shed_fraction(depth);
                                 }
                             }

@@ -1,8 +1,9 @@
 //! In-flight messages between physical operator instances.
 //!
 //! The data plane is *micro-batched*: senders accumulate tuples into
-//! per-destination [`Batch`] frames and flush them on size, time, or marker
-//! boundaries (see `RunConfig::batch_size` / `RunConfig::flush_interval_ms`).
+//! per-destination [`Batch`] frames and flush them when a frame is full
+//! (`RunConfig::batch_size`), before they wait for input, and at marker
+//! boundaries (see `crate::batch`).
 //! Markers — watermarks, checkpoint barriers, end-of-stream — are always
 //! preceded by a flush of every pending batch on the same edge, so the
 //! channel-order invariants the watermark and checkpoint protocols rely on

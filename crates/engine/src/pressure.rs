@@ -8,8 +8,9 @@
 //! 1. **Normal** — bounded channels provide natural backpressure; nothing
 //!    else happens.
 //! 2. **Batch** — adaptive batching: the worker grows its outgoing batch
-//!    size and shrinks the linger timer, trading per-tuple latency for
-//!    amortized framing cost so the operator can drain faster.
+//!    size, trading per-tuple latency for amortized framing cost so the
+//!    operator can drain faster. Its inbox is not empty, so the idle rule
+//!    (`crate::batch`) does not cut the larger frames short.
 //! 3. **Shed** — policy-driven load shedding: a configured fraction of
 //!    incoming tuples is dropped *with full accounting* (the `shed`
 //!    counter), preserving the invariant

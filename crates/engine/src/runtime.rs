@@ -8,7 +8,7 @@
 
 use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
-use crate::exec::RunClock;
+use crate::exec::{RunClock, SourceFeed};
 use crate::message::{Message, WatermarkTracker};
 use crate::operator::OpKind;
 use crate::physical::{PhysicalPlan, RouterState};
@@ -16,7 +16,7 @@ use crate::pressure::{OverloadConfig, PressureGauge, PressureLevel, Shedder};
 use crate::telemetry::Probe;
 use crate::transport::{LocalTransport, Transport};
 use crate::value::Tuple;
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, Receiver, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -90,9 +90,6 @@ pub struct RunConfig {
     /// as its own `Message::Data` frame — the per-tuple data plane, kept
     /// bit-for-bit as the measurable baseline.
     pub batch_size: usize,
-    /// Flush pending partial batches after the worker's input has been idle
-    /// this long — the bound on batching-induced latency.
-    pub flush_interval_ms: u64,
     /// Rewrite the logical plan with [`crate::chaining::fuse`] before
     /// expansion, collapsing Forward-connected stateless chains into one
     /// operator that runs a stage-major tight loop per batch — no
@@ -124,7 +121,6 @@ impl Default for RunConfig {
             channel_capacity: 1024,
             capture_limit: 100_000,
             batch_size: 128,
-            flush_interval_ms: 5,
             operator_fusion: true,
             overload: OverloadConfig::default(),
             check_schemas: false,
@@ -162,13 +158,6 @@ impl RunConfig {
         if self.batch_size == 0 {
             return Err(EngineError::InvalidConfig(
                 "batch_size must be at least 1 (1 = per-tuple framing)".into(),
-            ));
-        }
-        if self.flush_interval_ms == 0 {
-            return Err(EngineError::InvalidConfig(
-                "flush_interval_ms must be at least 1 (partial batches would never drain on idle \
-                 input)"
-                    .into(),
             ));
         }
         self.overload.validate()?;
@@ -371,8 +360,17 @@ impl ThreadedRuntime {
                         let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
                         let mut max_et = i64::MIN;
                         let mut emitted: u64 = 0;
-                        for mut tuple in factory.instance_iter(index, parallelism) {
-                            tuple.emit_ns = start.elapsed().as_nanos() as u64;
+                        let feed = SourceFeed::spawn(
+                            factory,
+                            index,
+                            parallelism,
+                            0,
+                            RunClock::Local(start),
+                            batch_size,
+                        );
+                        while let Some(tuple) =
+                            batcher.next_input(&feed.rx, &route_meta, &downstream, &probe)?
+                        {
                             max_et = max_et.max(tuple.event_time);
                             // Head sampling: every Nth tuple of each source
                             // instance roots a trace; the frames carrying it
@@ -405,6 +403,7 @@ impl ThreadedRuntime {
                                 )?;
                             }
                         }
+                        feed.finish();
                         batcher.flush_then_broadcast(
                             &route_meta,
                             &downstream,
@@ -508,7 +507,6 @@ impl ThreadedRuntime {
                     let ports = plan.channel_ports[inst.id].clone();
                     let name = node.name.clone();
                     let batch_size = self.config.batch_size;
-                    let flush_after = Duration::from_millis(self.config.flush_interval_ms);
                     let overload = self.config.overload.clone();
                     let gauge = overload
                         .enabled
@@ -524,7 +522,6 @@ impl ThreadedRuntime {
                         let mut out = Vec::new();
                         let mut closed = 0usize;
                         let (mut n_in, mut n_out, mut n_shed) = (0u64, 0u64, 0u64);
-                        let mut linger = flush_after;
                         let mut shed_fraction = 0.0f64;
                         // Context of the last traced frame absorbed by a
                         // windowed operator, consumed when a later pane fire
@@ -532,24 +529,12 @@ impl ThreadedRuntime {
                         let mut window_ctx: Option<TraceContext> = None;
                         while closed < channels {
                             let wait = probe.now_if();
-                            let env = match rx.recv_timeout(linger) {
-                                Ok(env) => env,
-                                Err(RecvTimeoutError::Timeout) => {
-                                    // Idle input: drain partial batches so
-                                    // held tuples never wait on future input.
-                                    batcher.flush_all(
-                                        &route_meta,
-                                        &downstream,
-                                        &probe,
-                                        FlushReason::Linger,
-                                    )?;
-                                    continue;
-                                }
-                                Err(RecvTimeoutError::Disconnected) => {
-                                    return Err(EngineError::Execution(format!(
-                                        "operator '{name}' lost its input channels"
-                                    )));
-                                }
+                            let Some(env) =
+                                batcher.next_input(&rx, &route_meta, &downstream, &probe)?
+                            else {
+                                return Err(EngineError::Execution(format!(
+                                    "operator '{name}' lost its input channels"
+                                )));
                             };
                             let work = probe.mark_idle(wait);
                             let depth = rx.len();
@@ -564,17 +549,14 @@ impl ThreadedRuntime {
                                 match level {
                                     PressureLevel::Normal => {
                                         batcher.set_max(batch_size);
-                                        linger = flush_after;
                                         shed_fraction = 0.0;
                                     }
                                     PressureLevel::Batch => {
                                         batcher.set_max(batch_size * overload.batch_growth);
-                                        linger = (flush_after / 2).max(Duration::from_millis(1));
                                         shed_fraction = 0.0;
                                     }
                                     PressureLevel::Shed => {
                                         batcher.set_max(batch_size * overload.batch_growth);
-                                        linger = (flush_after / 2).max(Duration::from_millis(1));
                                         shed_fraction = g.shed_fraction(depth);
                                     }
                                 }
@@ -1275,6 +1257,43 @@ mod tests {
                 assert_eq!(node, 1, "the UDO is logical node 1");
                 assert_eq!(instance, 0);
                 assert!(cause.contains("boom at tuple 5"), "cause: {cause}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn source_iterator_panic_reports_the_source_node_and_instance() {
+        // The iterator runs on the source's reader thread; its panic must
+        // still surface as the source worker's. Raised past the panic hook:
+        // the hook's message, written from a grandchild of the test thread
+        // into libtest's captured output, is a ThreadSanitizer false
+        // positive (std's mutex around that buffer is not instrumented).
+        struct Bomb;
+        impl SourceFactory for Bomb {
+            fn instance_iter(&self, _: usize, _: usize) -> Box<dyn Iterator<Item = Tuple> + Send> {
+                Box::new(int_tuples(0..10).into_iter().inspect(|t| {
+                    if t.values[0] == Value::Int(5) {
+                        std::panic::resume_unwind(Box::new("source boom at tuple 5"));
+                    }
+                }))
+            }
+        }
+        let plan = PlanBuilder::new()
+            .source("src", Schema::of(&[FieldType::Int]), 1)
+            .sink("sink")
+            .build()
+            .unwrap();
+        let phys = PhysicalPlan::expand(&plan).unwrap();
+        let rt = ThreadedRuntime::new(RunConfig::default());
+        match rt.run(&phys, &[Arc::new(Bomb)]) {
+            Err(EngineError::WorkerPanicked {
+                node,
+                instance,
+                cause,
+            }) => {
+                assert_eq!((node, instance), (0, 0), "the source is logical node 0");
+                assert!(cause.contains("source boom at tuple 5"), "cause: {cause}");
             }
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }

@@ -1,8 +1,10 @@
 //! Property test for the micro-batched data plane: for randomly generated
 //! plans, the batched engine must deliver the *identical* output multiset
 //! as the tuple-at-a-time engine (`batch_size == 1`) — across batch sizes
-//! (including one larger than the whole stream), flush timeouts, the
-//! operator-fusion rewrite, and fault-injected exactly-once recovery runs.
+//! (including one larger than the whole stream), smooth and bursty sources
+//! (a source that pauses mid-stream makes every worker behind it run dry
+//! and flush partial batches), the operator-fusion rewrite, and
+//! fault-injected exactly-once recovery runs.
 //!
 //! Determinism discipline: every generated edge is either `Forward` or
 //! `Hash` on the key field, so each key follows a single instance path and
@@ -16,9 +18,10 @@ use pdsp_engine::fault::{
     Backoff, DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy,
 };
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
-use pdsp_engine::runtime::{RunConfig, ThreadedRuntime, VecSource};
+use pdsp_engine::runtime::{RunConfig, SourceFactory, ThreadedRuntime, VecSource};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::{FieldType, PhysicalPlan, PlanBuilder, Schema, Tuple, Value};
+use std::sync::Arc;
 use std::time::Duration;
 
 const KEYS: i64 = 5;
@@ -50,6 +53,42 @@ fn source_tuples() -> Vec<Tuple> {
             t
         })
         .collect()
+}
+
+/// [`VecSource`]'s stream, released in bursts of random length (1..=200
+/// tuples, seeded) with a pause before each: the source's hand-off runs dry
+/// mid-stream, so partial batches ride idle flushes on every edge.
+struct BurstySource {
+    smooth: Arc<VecSource>,
+    seed: u64,
+}
+
+impl SourceFactory for BurstySource {
+    fn instance_iter(
+        &self,
+        instance_index: usize,
+        parallelism: usize,
+    ) -> Box<dyn Iterator<Item = Tuple> + Send> {
+        let mut rng = Rng(self.seed ^ instance_index as u64);
+        let mut left_in_burst = 0;
+        let smooth = self.smooth.instance_iter(instance_index, parallelism);
+        Box::new(smooth.inspect(move |_| {
+            if left_in_burst == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+                left_in_burst = 1 + rng.below(200);
+            }
+            left_in_burst -= 1;
+        }))
+    }
+}
+
+/// The test stream, smooth or in bursts seeded by `bursty`.
+fn source(bursty: Option<u64>) -> Arc<dyn SourceFactory> {
+    let smooth = VecSource::new(source_tuples());
+    match bursty {
+        Some(seed) => Arc::new(BurstySource { smooth, seed }),
+        None => smooth,
+    }
 }
 
 /// A random plan: source -> 1..=3 stateless stages (filter/map, random
@@ -110,10 +149,10 @@ fn random_plan(rng: &mut Rng) -> LogicalPlan {
     b.sink("sink").build().expect("generated plan is valid")
 }
 
-fn run_plan(plan: &LogicalPlan, config: RunConfig) -> Vec<Vec<Value>> {
+fn run_plan(plan: &LogicalPlan, batch_size: usize, bursty: Option<u64>) -> Vec<Vec<Value>> {
     let phys = PhysicalPlan::expand(plan).expect("plan expands");
-    let res = ThreadedRuntime::new(config)
-        .run(&phys, &[VecSource::new(source_tuples())])
+    let res = ThreadedRuntime::new(config(batch_size))
+        .run(&phys, &[source(bursty)])
         .expect("run succeeds");
     assert_eq!(
         res.tuples_out as usize,
@@ -129,10 +168,9 @@ fn multiset(rows: Vec<Tuple>) -> Vec<Vec<Value>> {
     rows
 }
 
-fn config(batch_size: usize, flush_interval_ms: u64) -> RunConfig {
+fn config(batch_size: usize) -> RunConfig {
     RunConfig {
         batch_size,
-        flush_interval_ms,
         ..RunConfig::default()
     }
 }
@@ -142,16 +180,23 @@ fn batched_runs_match_tuple_at_a_time_across_random_plans() {
     for seed in 0..8u64 {
         let mut rng = Rng(0x9e3779b97f4a7c15 ^ seed);
         let plan = random_plan(&mut rng);
-        let reference = run_plan(&plan, config(1, 5));
+        let reference = run_plan(&plan, 1, None);
         assert!(!reference.is_empty(), "seed {seed}: plan produces output");
         // Size-triggered flushes (7, 64), a batch larger than the whole
-        // stream (everything rides linger/marker/EOS flushes), and a tight
-        // linger timeout.
-        for (batch, flush_ms) in [(7, 5), (64, 5), (2 * TUPLES as usize, 5), (64, 1)] {
-            let got = run_plan(&plan, config(batch, flush_ms));
+        // stream (everything rides idle/marker/EOS flushes), and both of
+        // the latter fed in bursts.
+        let whole = 2 * TUPLES as usize;
+        for (batch, bursty) in [
+            (7, None),
+            (64, None),
+            (whole, None),
+            (64, Some(seed)),
+            (whole, Some(seed)),
+        ] {
+            let got = run_plan(&plan, batch, bursty);
             assert_eq!(
                 got, reference,
-                "seed {seed}: batch {batch} / flush {flush_ms}ms diverged from per-tuple output"
+                "seed {seed}: batch {batch} / bursts {bursty:?} diverged from per-tuple output"
             );
         }
     }
@@ -162,13 +207,14 @@ fn fused_plans_match_unfused_output() {
     for seed in 0..8u64 {
         let mut rng = Rng(0xdeadbeefcafef00d ^ seed);
         let plan = random_plan(&mut rng);
-        let reference = run_plan(&plan, config(1, 5));
+        let reference = run_plan(&plan, 1, None);
         let fused = fuse(&plan).expect("fusion rewrite succeeds");
-        for batch in [1usize, 64] {
-            let got = run_plan(&fused, config(batch, 5));
+        for (batch, bursty) in [(1usize, None), (64, None), (64, Some(seed))] {
+            let got = run_plan(&fused, batch, bursty);
             assert_eq!(
                 got, reference,
-                "seed {seed}: fused plan at batch {batch} diverged from unfused per-tuple output"
+                "seed {seed}: fused plan at batch {batch} / bursts {bursty:?} diverged from \
+                 unfused per-tuple output"
             );
         }
     }
@@ -189,7 +235,7 @@ fn exactly_once_recovery_matches_reference_at_every_batch_size() {
         .with_uniform_parallelism(2);
     let phys = PhysicalPlan::expand(&plan).expect("plan expands");
 
-    let ft = |batch: usize, injector: Option<FaultInjector>| {
+    let ft = |batch: usize, bursty: Option<u64>, injector: Option<FaultInjector>| {
         let cfg = FtConfig {
             checkpoint_interval_tuples: 128,
             mode: DeliveryMode::ExactlyOnce,
@@ -197,25 +243,32 @@ fn exactly_once_recovery_matches_reference_at_every_batch_size() {
                 max_restarts: 3,
                 backoff: Backoff::Fixed(Duration::from_millis(5)),
             },
-            run: config(batch, 5),
+            run: config(batch),
         };
         let res = FtRuntime::new(cfg)
-            .run(&phys, &[VecSource::new(source_tuples())], injector)
+            .run(&phys, &[source(bursty)], injector)
             .expect("ft run completes");
         (multiset(res.result.sink_tuples), res.recovery.attempts)
     };
 
-    let (reference, clean_attempts) = ft(1, None);
+    let (reference, clean_attempts) = ft(1, None, None);
     assert_eq!(clean_attempts, 1);
     assert!(!reference.is_empty());
-    for batch in [1usize, 7, 64] {
+    for (batch, bursty) in [(1usize, None), (7, None), (64, None), (64, Some(3))] {
         let injector = FaultInjector::after_tuples(2, 0, 400);
-        let (got, attempts) = ft(batch, Some(injector.clone()));
-        assert!(injector.fired(), "batch {batch}: fault actually triggered");
-        assert!(attempts > 1, "batch {batch}: a restart happened");
+        let (got, attempts) = ft(batch, bursty, Some(injector.clone()));
+        assert!(
+            injector.fired(),
+            "batch {batch} / bursts {bursty:?}: fault actually triggered"
+        );
+        assert!(
+            attempts > 1,
+            "batch {batch} / bursts {bursty:?}: a restart happened"
+        );
         assert_eq!(
             got, reference,
-            "batch {batch}: exactly-once replay diverged from the clean per-tuple run"
+            "batch {batch} / bursts {bursty:?}: exactly-once replay diverged from the clean \
+             per-tuple run"
         );
     }
 }

@@ -106,7 +106,7 @@ const METRICS: &[Metric] = &[
     },
     Metric {
         name: "pdsp_flush_linger_total",
-        help: "Batches flushed by the idle-input linger timer.",
+        help: "Batches flushed because the worker was about to wait for input.",
         kind: "counter",
         value: |s| Some(s.flush_linger as f64),
     },

@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub enum FlushReason {
     /// The builder reached the configured maximum batch size.
     Size,
-    /// The flush timer fired while tuples were pending (idle input).
+    /// The worker was about to wait for input while tuples were pending.
     Linger,
     /// A watermark or checkpoint barrier had to be sent in channel order.
     Marker,

@@ -55,7 +55,7 @@ pub struct InstanceSnapshot {
     /// Batches flushed because the builder reached the size bound.
     #[serde(default)]
     pub flush_size: u64,
-    /// Batches flushed by the idle-input linger timer.
+    /// Batches flushed because the worker was about to wait for input.
     #[serde(default)]
     pub flush_linger: u64,
     /// Batches flushed ahead of a watermark or checkpoint barrier.
