@@ -4,12 +4,24 @@
 //! (the `pdsp-worker` binary, or `pdsp worker` from the CLI), places the
 //! physical instances of a plan onto workers (`instance id % workers`), and
 //! supervises the run over a length-prefixed TCP control protocol
-//! (`pdsp-net` framing). Cross-worker dataflow edges carry the engine's
-//! existing [`Message::Batch`] wire frames as JSON envelopes over per-pair
-//! TCP connections; in-worker edges stay in-process crossbeam channels. Both
-//! kinds hide behind the same `Transport` abstraction the threaded runtime
-//! uses, so the per-instance worker loops in `crate::exec` are byte-for-byte
-//! shared between the local and distributed engines.
+//! (`pdsp-net` framing, JSON messages). Cross-worker dataflow edges carry
+//! the engine's existing [`Message`] frames in the binary layout of
+//! [`crate::wire`], over one TCP connection per remote *target instance*;
+//! in-worker edges stay in-process crossbeam channels. Both kinds hide
+//! behind the same `Transport` abstraction the threaded runtime uses, so the
+//! per-instance worker loops in `crate::exec` are byte-for-byte shared
+//! between the local and distributed engines.
+//!
+//! ## Why a connection per target instance
+//!
+//! A data connection is read by one thread that blocks while the inbox it
+//! feeds is full. A connection shared by several target instances would
+//! make a frame for an idle instance wait behind a frame for a full one,
+//! and on a plan that sends both ways between two workers (`count0 → sink1`
+//! behind `src0 → count1`, and the mirror image on the other side) the
+//! waits close into a cycle. With one connection per target instance a
+//! reader only ever waits for the instance its frames are for, so every
+//! chain of waits follows the dataflow downstream and ends at a sink.
 //!
 //! ## Why spec strings, not serialized plans
 //!
@@ -65,18 +77,20 @@ use crate::physical::PhysicalPlan;
 use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult};
 use crate::testplan::{self, PlanAndSources};
 use crate::transport::Transport;
+use crate::wire::{decode_frame, encode_frame};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use pdsp_net::{
-    connect_with_backoff, encode_json, epoch_ns_now, recv_json, send_json, wire_now_ns,
-    write_frame, BackoffPolicy, LeaseTable,
+    connect_with_backoff, encode_json, epoch_ns_now, read_frame, recv_json, send_json, wire_now_ns,
+    write_frame, write_prefixed, BackoffPolicy, LeaseTable, FRAME_PREFIX_BYTES,
 };
 use pdsp_telemetry::{
     Alarm, AlarmConfig, AlarmKind, AlarmMonitor, FlightEventKind, InstanceSnapshot,
     MetricsRegistry, RunTelemetry, Span, SpanKind, TelemetryConfig, TraceBook,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -230,10 +244,10 @@ struct WireStat {
     late: u64,
 }
 
-/// One data-plane frame: an [`Envelope`] plus its target instance. The
-/// receiving worker routes purely on `instance`, so data connections need
-/// no handshake.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One decoded data-plane frame ([`crate::wire`]): an [`Envelope`] plus its
+/// target instance. The receiving worker routes purely on `instance`, so
+/// data connections need no handshake.
+#[derive(Debug)]
 struct WireEnvelope {
     instance: usize,
     channel: usize,
@@ -311,118 +325,82 @@ impl Transport for MeshTransport {
     }
 }
 
-struct Mesh {
-    transport: MeshTransport,
-    receivers: Vec<Option<Receiver<Envelope>>>,
-    /// Master copy of the local input senders, handed to the acceptor.
-    local_senders: Vec<Option<Sender<Envelope>>>,
-    /// One clone per outbound stream, for the connection-drop chaos knob.
-    outbound: Vec<TcpStream>,
-    forwarders: Vec<JoinHandle<()>>,
-}
-
-/// Workers (other than `me`) that host an instance with an edge into one of
-/// `me`'s instances — exactly the set that will dial our data listener.
-fn inbound_peers(plan: &PhysicalPlan, assignment: &[usize], me: usize) -> HashSet<usize> {
-    let mut peers = HashSet::new();
-    for inst in &plan.instances {
-        let w = assignment[inst.id];
-        if w == me {
-            continue;
-        }
+/// The instances on other workers that `worker`'s instances send to, each
+/// with the worker hosting it: `worker` dials one data connection per entry,
+/// and every host accepts exactly the entries that name it.
+fn remote_targets(plan: &PhysicalPlan, assignment: &[usize], worker: usize) -> Vec<(usize, usize)> {
+    let mut targets = BTreeSet::new();
+    for inst in plan.instances.iter().filter(|i| assignment[i.id] == worker) {
         for route in &plan.out_routes[inst.id] {
             for t in route.targets.iter() {
-                if assignment[t.instance] == me {
-                    peers.insert(w);
+                let host = assignment[t.instance];
+                if host != worker {
+                    targets.insert((t.instance, host));
                 }
             }
         }
     }
-    peers
+    targets.into_iter().collect()
 }
 
-/// Build the worker-local slice of the data plane: bounded channels for
-/// local instances, one TCP connection per downstream peer worker, and one
-/// forwarder thread per remote target instance serializing its proxy
-/// channel onto the shared connection (frame writes happen under a per-peer
-/// mutex, so concurrent forwarders can never interleave partial frames).
-#[allow(clippy::too_many_arguments)]
-fn build_mesh(
+/// Data connections the other workers will dial to `me`.
+fn inbound_connections(
     plan: &PhysicalPlan,
-    mine: &HashSet<usize>,
     assignment: &[usize],
+    workers: usize,
+    me: usize,
+) -> usize {
+    (0..workers)
+        .filter(|&w| w != me)
+        .flat_map(|w| remote_targets(plan, assignment, w))
+        .filter(|&(_, host)| host == me)
+        .count()
+}
+
+/// Dial one connection per remote target instance and give each a proxy
+/// channel in `endpoints` plus a forwarder thread that owns the stream:
+/// it encodes every envelope into a buffer it reuses and writes the frame
+/// with one `write_all`. Every dial goes through the shared
+/// decorrelated-jitter backoff. Returns a clone of every stream (for the
+/// connection-drop chaos knob) and the forwarder handles.
+fn dial_remote_targets(
+    targets: Vec<(usize, usize)>,
+    endpoints: &mut [Option<Sender<Envelope>>],
     peers: &[String],
     frame_cap: usize,
     backoff: &BackoffPolicy,
     connect_attempts: usize,
     epoch_ns: u64,
-) -> Result<Mesh> {
-    let n = plan.instance_count();
-    let mut endpoints: Vec<Option<Sender<Envelope>>> = vec![None; n];
-    let mut receivers: Vec<Option<Receiver<Envelope>>> = (0..n).map(|_| None).collect();
-    let mut local_senders: Vec<Option<Sender<Envelope>>> = vec![None; n];
-    for i in 0..n {
-        if mine.contains(&i) {
-            let (tx, rx) = bounded::<Envelope>(frame_cap);
-            endpoints[i] = Some(tx.clone());
-            local_senders[i] = Some(tx);
-            receivers[i] = Some(rx);
-        }
-    }
-
-    // Remote targets of my instances' out-routes, and the workers hosting
-    // them.
-    let mut remote: Vec<(usize, usize)> = Vec::new(); // (instance, worker)
-    let mut seen = HashSet::new();
-    for &i in mine {
-        for route in &plan.out_routes[i] {
-            for t in route.targets.iter() {
-                if !mine.contains(&t.instance) && seen.insert(t.instance) {
-                    remote.push((t.instance, assignment[t.instance]));
-                }
-            }
-        }
-    }
-    remote.sort_unstable();
-
-    // One dial per peer worker, every reconnect through the shared
-    // decorrelated-jitter backoff.
-    let mut streams: HashMap<usize, Arc<Mutex<TcpStream>>> = HashMap::new();
-    let mut outbound = Vec::new();
-    for &(_, w) in &remote {
-        if streams.contains_key(&w) {
-            continue;
-        }
+) -> Result<(Vec<TcpStream>, Vec<JoinHandle<()>>)> {
+    let (mut streams, mut forwarders) = (Vec::new(), Vec::new());
+    for (inst, w) in targets {
         let addr = peers.get(w).ok_or_else(|| {
             EngineError::Transport(format!("deploy lists no data address for worker {w}"))
         })?;
-        let s = connect_with_backoff(addr, backoff, connect_attempts)
+        let mut stream = connect_with_backoff(addr, backoff, connect_attempts)
             .map_err(|e| io_err(&format!("dial worker {w} at {addr}"), e))?;
-        outbound.push(s.try_clone().map_err(|e| io_err("clone data stream", e))?);
-        streams.insert(w, Arc::new(Mutex::new(s)));
-    }
-
-    let mut forwarders = Vec::new();
-    for (inst, w) in remote {
+        streams.push(
+            stream
+                .try_clone()
+                .map_err(|e| io_err("clone data stream", e))?,
+        );
         let (tx, rx) = bounded::<Envelope>(frame_cap);
         endpoints[inst] = Some(tx);
-        let stream = Arc::clone(&streams[&w]);
         forwarders.push(std::thread::spawn(move || {
-            for env in rx.iter() {
-                let mut frame = WireEnvelope {
-                    instance: inst,
-                    channel: env.channel,
-                    msg: env.msg,
-                };
+            let mut frame = Vec::new();
+            for mut env in rx.iter() {
                 // Stamp the wire-entry time on traced frames so the
                 // receiving acceptor can split the hop into serialize
                 // (flush → here) and network (here → arrival) spans.
-                if let Message::Batch(b) = &mut frame.msg {
+                if let Message::Batch(b) = &mut env.msg {
                     if let Some(ft) = &mut b.trace {
                         ft.wire_ns = wire_now_ns(epoch_ns);
                     }
                 }
-                if send_json(&mut *stream.lock(), &frame).is_err() {
+                frame.clear();
+                frame.extend_from_slice(&[0; FRAME_PREFIX_BYTES]);
+                encode_frame(&mut frame, inst, env.channel, &env.msg);
+                if write_prefixed(&mut stream, &mut frame).is_err() {
                     // Peer gone (or chaos severed the stream): stop
                     // forwarding; dropping `rx` makes upstream sends fail,
                     // which is how the hazard propagates into the attempt.
@@ -431,14 +409,7 @@ fn build_mesh(
             }
         }));
     }
-
-    Ok(Mesh {
-        transport: MeshTransport { endpoints },
-        receivers,
-        local_senders,
-        outbound,
-        forwarders,
-    })
+    Ok((streams, forwarders))
 }
 
 /// Shared state of the wire-level schema check (`RunConfig::check_schemas`):
@@ -520,11 +491,25 @@ impl WireSchemaCheck {
     }
 }
 
-/// Accept exactly `expected` inbound data connections, then release the
-/// master sender table. Each connection gets a reader thread that routes
-/// frames into local input queues; the reader drops its sender clones on
-/// EOF or error, so a killed peer tears its edges down and local instances
-/// observe `Lost` instead of hanging. With `check` present every inbound
+/// Read and decode the next data frame; `Ok(None)` on a clean EOF.
+fn recv_envelope<R: Read>(r: &mut R) -> std::io::Result<Option<WireEnvelope>> {
+    let Some(payload) = read_frame(r)? else {
+        return Ok(None);
+    };
+    let (instance, channel, msg) = decode_frame(&payload)?;
+    Ok(Some(WireEnvelope {
+        instance,
+        channel,
+        msg,
+    }))
+}
+
+/// Accept exactly `expected` inbound data connections (see
+/// [`inbound_connections`]), then release the master sender table. Each
+/// connection gets a reader thread that decodes frames and routes them into
+/// local input queues; the reader drops its sender clones on EOF or error,
+/// so a killed peer tears its edges down and local instances observe `Lost`
+/// instead of hanging. With `check` present every inbound
 /// data frame is additionally validated against the inferred schema of the
 /// channel it crossed (`RunConfig::check_schemas`).
 fn spawn_acceptor(
@@ -547,9 +532,9 @@ fn spawn_acceptor(
             // Each reader thread gets its own span ring (single-writer).
             let tracer = trace.as_ref().map(|b| (Arc::clone(b), b.ring()));
             conns.push(std::thread::spawn(move || {
-                let mut stream = stream;
+                let mut stream = BufReader::new(stream);
                 loop {
-                    match recv_json::<_, WireEnvelope>(&mut stream) {
+                    match recv_envelope(&mut stream) {
                         Ok(Some(mut we)) => {
                             if let Some(c) = &check {
                                 c.observe(&we);
@@ -570,8 +555,9 @@ fn spawn_acceptor(
                                 return;
                             }
                         }
-                        // Clean EOF after the peer's last frame, or a peer
-                        // that died mid-frame — either way this edge is done.
+                        // Clean EOF after the peer's last frame, a peer that
+                        // died mid-frame, or bytes that are not a frame —
+                        // either way this edge is done.
                         Ok(None) | Err(_) => return,
                     }
                 }
@@ -711,23 +697,13 @@ impl WorkerMain {
         let restore: HashMap<usize, Vec<u8>> = deploy.restore.iter().cloned().collect();
         let frame_cap = deploy.run.frame_capacity();
 
-        let mesh = build_mesh(
-            &plan,
-            &mine,
-            &deploy.assignment,
-            &deploy.peers,
-            frame_cap,
-            &self.backoff,
-            self.connect_attempts,
-            deploy.epoch_ns,
-        )?;
-        let Mesh {
-            transport,
-            mut receivers,
-            local_senders,
-            outbound,
-            forwarders,
-        } = mesh;
+        let mut endpoints: Vec<Option<Sender<Envelope>>> = vec![None; n];
+        let mut receivers: Vec<Option<Receiver<Envelope>>> = (0..n).map(|_| None).collect();
+        for &i in &mine {
+            let (tx, rx) = bounded::<Envelope>(frame_cap);
+            endpoints[i] = Some(tx);
+            receivers[i] = Some(rx);
+        }
 
         // Telemetry: the registry covers the whole plan (indices align with
         // instance ids); only local instances record into it. The span-id
@@ -752,19 +728,31 @@ impl WorkerMain {
             worker_id as u64 + 1,
         );
 
-        let expected_inbound = inbound_peers(&plan, &deploy.assignment, worker_id).len();
         let wire_check = deploy
             .run
             .check_schemas
             .then(|| WireSchemaCheck::from_plan(&plan));
+        // Accept before dialing: every worker dials its whole fan-out
+        // before it reports Ready, and a listener nobody accepts from
+        // holds only a backlog's worth of connections.
         let acceptor = spawn_acceptor(
             data_listener,
-            local_senders,
-            expected_inbound,
+            endpoints.clone(),
+            inbound_connections(&plan, &deploy.assignment, deploy.workers, worker_id),
             wire_check.clone(),
             tel.trace.clone(),
             deploy.epoch_ns,
         );
+        let (outbound, forwarders) = dial_remote_targets(
+            remote_targets(&plan, &deploy.assignment, worker_id),
+            &mut endpoints,
+            &deploy.peers,
+            frame_cap,
+            &self.backoff,
+            self.connect_attempts,
+            deploy.epoch_ns,
+        )?;
+        let transport = MeshTransport { endpoints };
 
         send_json(&mut *writer.lock(), &ToCoord::Ready { worker: worker_id })
             .map_err(|e| io_err("send ready", e))?;
@@ -1924,40 +1912,41 @@ mod tests {
     }
 
     #[test]
-    fn placement_and_peer_sets_are_consistent() {
-        let (plan, _) = testplan::build(0, 64, 0).unwrap();
-        let n = plan.instance_count();
-        let k = 2;
-        let assignment: Vec<usize> = (0..n).map(|i| i % k).collect();
-        // Every worker's inbound peer set names only workers that actually
-        // have an outbound edge to it.
-        for me in 0..k {
-            let inbound = inbound_peers(&plan, &assignment, me);
-            for &peer in &inbound {
-                assert_ne!(peer, me);
-                let mine: HashSet<usize> = (0..n).filter(|&i| assignment[i] == me).collect();
-                let has_edge = plan.instances.iter().any(|inst| {
-                    assignment[inst.id] == peer
-                        && plan.out_routes[inst.id]
-                            .iter()
-                            .any(|r| r.targets.iter().any(|t| mine.contains(&t.instance)))
-                });
-                assert!(has_edge, "worker {peer} listed without an edge into {me}");
+    fn every_dialed_connection_is_expected_by_its_host() {
+        for (seed, k) in [(0, 2), (1, 2), (2, 3), (0, 1)] {
+            let (plan, _) = testplan::build(seed, 64, 0).unwrap();
+            let n = plan.instance_count();
+            let assignment: Vec<usize> = (0..n).map(|i| i % k).collect();
+            let mut dialed = vec![0usize; k];
+            for me in 0..k {
+                for (inst, host) in remote_targets(&plan, &assignment, me) {
+                    assert_ne!(host, me);
+                    assert_eq!(assignment[inst], host);
+                    let has_edge = plan.instances.iter().any(|from| {
+                        assignment[from.id] == me
+                            && plan.out_routes[from.id]
+                                .iter()
+                                .any(|r| r.targets.iter().any(|t| t.instance == inst))
+                    });
+                    assert!(has_edge, "worker {me} dials {inst} without an edge into it");
+                    dialed[host] += 1;
+                }
+            }
+            for (me, &dials) in dialed.iter().enumerate() {
+                assert_eq!(inbound_connections(&plan, &assignment, k, me), dials);
             }
         }
     }
 
     #[test]
-    fn mesh_rejects_missing_peer_address() {
+    fn dialing_rejects_a_missing_peer_address() {
         let (plan, _) = testplan::build(0, 64, 0).unwrap();
         let n = plan.instance_count();
         let assignment: Vec<usize> = (0..n).map(|i| i % 2).collect();
-        let mine: HashSet<usize> = (0..n).filter(|&i| assignment[i] == 0).collect();
         // Peer list too short: worker 1 unreachable.
-        let res = build_mesh(
-            &plan,
-            &mine,
-            &assignment,
+        let res = dial_remote_targets(
+            remote_targets(&plan, &assignment, 0),
+            &mut vec![None; n],
             &["127.0.0.1:9".to_string()],
             4,
             &BackoffPolicy::default(),
@@ -1965,5 +1954,45 @@ mod tests {
             0,
         );
         assert!(matches!(res.err(), Some(EngineError::Transport(_))));
+    }
+
+    /// The schema check sits behind the decoder: a frame that is well formed
+    /// on the wire but carries the wrong types for its channel is counted,
+    /// and fails the worker with the typed error.
+    #[test]
+    fn decoded_frame_violating_its_channel_schema_is_reported() {
+        use crate::value::{Tuple, Value};
+        let (plan, _) = testplan::build(0, 64, 0).unwrap();
+        let check = WireSchemaCheck::from_plan(&plan);
+        // Instance 2 is `keep[0]`; its channels carry (Int, Int).
+        let good = Tuple::new(vec![Value::Int(1), Value::Int(2)]);
+        let bad = Tuple::new(vec![Value::Int(1), Value::str("two")]);
+        let mut stream = Vec::new();
+        for msg in [
+            Message::Batch(crate::message::Batch::new(vec![good.clone(), bad.clone()])),
+            Message::Data(good),
+            Message::Watermark(7),
+            Message::Data(bad),
+        ] {
+            let mut frame = vec![0u8; FRAME_PREFIX_BYTES];
+            encode_frame(&mut frame, 2, 0, &msg);
+            write_prefixed(&mut stream, &mut frame).unwrap();
+        }
+        let mut r = stream.as_slice();
+        assert!(check.to_error(1).is_none());
+        while let Some(we) = recv_envelope(&mut r).unwrap() {
+            check.observe(&we);
+        }
+        match check.to_error(1) {
+            Some(EngineError::WireSchemaViolation {
+                worker,
+                violations,
+                first,
+            }) => {
+                assert_eq!((worker, violations), (1, 2));
+                assert!(first.contains("instance 2 channel 0"), "{first}");
+            }
+            other => panic!("expected a wire schema violation, got {other:?}"),
+        }
     }
 }

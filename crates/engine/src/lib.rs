@@ -54,6 +54,7 @@ mod transport;
 pub mod udo;
 pub mod value;
 pub mod window;
+pub mod wire;
 
 pub use batch::FlushReason;
 pub use builder::PlanBuilder;

@@ -88,9 +88,11 @@ impl Batch {
     }
 }
 
-/// A message on a dataflow channel. Serializable because distributed runs
-/// ship these very frames across worker boundaries (length-prefixed JSON,
-/// see `pdsp-net`); in-process channels move them untouched.
+/// A message on a dataflow channel. Distributed runs ship these very frames
+/// across worker boundaries in the binary layout of [`crate::wire`];
+/// in-process channels move them untouched. The serde derives are for
+/// tooling that wants a frame as JSON (the benches compare the two
+/// encodings); the data plane does not use them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
     /// A single data tuple (the `batch_size == 1` framing).

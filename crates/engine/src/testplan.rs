@@ -11,12 +11,16 @@
 //! Sources are *throttled* (a short sleep every few hundred tuples) so a
 //! chaos SIGKILL or connection drop lands mid-run instead of after all data
 //! has already drained — the corpus exists to be killed.
+//!
+//! `twoway:<tuples>` is the one plan that exists to be saturated instead:
+//! see [`build_two_way`].
 
 use crate::agg::AggFunc;
 use crate::builder::PlanBuilder;
 use crate::error::{EngineError, Result};
 use crate::expr::{CmpOp, Predicate};
 use crate::physical::PhysicalPlan;
+use crate::plan::LogicalPlan;
 use crate::runtime::SourceFactory;
 use crate::value::{FieldType, Schema, Tuple, Value};
 use crate::window::WindowSpec;
@@ -43,12 +47,6 @@ pub type PlanAndSources = (PhysicalPlan, Vec<Arc<dyn SourceFactory>>);
 /// which is what lets richer resolvers chain: try their own grammar first,
 /// then fall back here.
 pub fn resolve(spec: &str) -> Result<PlanAndSources> {
-    let rest = spec.strip_prefix("seeded:").ok_or_else(|| {
-        EngineError::InvalidConfig(format!(
-            "unknown plan spec '{spec}' (expected seeded:<seed>[:<tuples>[:<pace_ms>]])"
-        ))
-    })?;
-    let mut parts = rest.split(':');
     let parse = |what: &str, v: Option<&str>, default: u64| -> Result<u64> {
         match v {
             None | Some("") => Ok(default),
@@ -59,6 +57,16 @@ pub fn resolve(spec: &str) -> Result<PlanAndSources> {
             }),
         }
     };
+    if let Some(tuples) = spec.strip_prefix("twoway:") {
+        return build_two_way(parse("tuples", Some(tuples), 0)?.max(1));
+    }
+    let rest = spec.strip_prefix("seeded:").ok_or_else(|| {
+        EngineError::InvalidConfig(format!(
+            "unknown plan spec '{spec}' (expected seeded:<seed>[:<tuples>[:<pace_ms>]] \
+             or twoway:<tuples>)"
+        ))
+    })?;
+    let mut parts = rest.split(':');
     let seed = parse("seed", parts.next(), 0)?;
     let tuples = parse("tuples", parts.next(), 4096)?.max(1);
     let pace_ms = parse("pace_ms", parts.next(), 1)?;
@@ -113,13 +121,36 @@ pub fn build(seed: u64, tuples: u64, pace_ms: u64) -> Result<PlanAndSources> {
             .sink("sink")
             .build()?,
     };
-    let plan = PhysicalPlan::expand(&logical)?;
+    seeded(&logical, seed, tuples, pace_ms)
+}
+
+/// Expand `logical` and pair it with its one [`SeededSource`].
+fn seeded(logical: &LogicalPlan, seed: u64, tuples: u64, pace_ms: u64) -> Result<PlanAndSources> {
+    let plan = PhysicalPlan::expand(logical)?;
     let sources: Vec<Arc<dyn SourceFactory>> = vec![Arc::new(SeededSource {
         seed,
         tuples,
         pace_ms,
     })];
     Ok((plan, sources))
+}
+
+/// The `twoway:<tuples>` plan: unthrottled source ×2 → hash → keyed
+/// tumbling count(8) ×2 → rebalance → sink ×2. Under `id % 2` placement each
+/// worker hosts one instance of every operator, so `src0 → count1` and
+/// `count0 → sink1` cross from worker 0 to worker 1 while `src1 → count0`
+/// and `count1 → sink0` cross the other way — the shape on which data
+/// connections shared between target instances deadlock once the sources
+/// outrun the counts (see the module docs of [`crate::distributed`]).
+pub fn build_two_way(tuples: u64) -> Result<PlanAndSources> {
+    let logical = PlanBuilder::new()
+        .source("src", Schema::of(&[FieldType::Int, FieldType::Int]), 2)
+        .window_agg_keyed("count", WindowSpec::tumbling_count(8), AggFunc::Count, 1, 0)
+        .set_parallelism(1, 2)
+        .sink("sink")
+        .set_parallelism(2, 2)
+        .build()?;
+    seeded(&logical, 0, tuples, 0)
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -178,7 +209,12 @@ mod tests {
 
     #[test]
     fn specs_resolve_deterministically() {
-        for spec in ["seeded:0:512:0", "seeded:1:512:0", "seeded:2:512:0"] {
+        for spec in [
+            "seeded:0:512:0",
+            "seeded:1:512:0",
+            "seeded:2:512:0",
+            "twoway:512",
+        ] {
             let (a, src_a) = resolve(spec).unwrap();
             let (b, src_b) = resolve(spec).unwrap();
             assert_eq!(a.instance_count(), b.instance_count(), "{spec}");
@@ -200,6 +236,10 @@ mod tests {
         ));
         assert!(matches!(
             resolve("seeded:1:2:3:4"),
+            Err(EngineError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            resolve("twoway:1:2"),
             Err(EngineError::InvalidConfig(_))
         ));
     }

@@ -168,6 +168,57 @@ fn three_worker_books_balance() {
     assert_eq!(sink.tuples_in, dist.ft.result.tuples_out);
 }
 
+/// Saturated sources on a plan whose cross-worker edges run both ways
+/// (`src0 → count1` and `count0 → sink1` one way, their mirror images the
+/// other). With one data connection per peer worker the reader of each
+/// connection blocks on a full `count` inbox while the frames for the idle
+/// sink queue behind it, on both sides at once, and the run never ends;
+/// with one connection per target instance it drains.
+#[test]
+fn distributed_two_way_plan_drains_when_saturated() {
+    let tuples = 600_000u64;
+    let run = RunConfig {
+        batch_size: 16,
+        channel_capacity: 32, // two frames per channel
+        // Sinks only count: a worker is silent while it encodes its final
+        // report, and 75 000 captured tuples outlast the lease.
+        capture_limit: 0,
+        ..RunConfig::default()
+    };
+    let (plan, sources) = testplan::build_two_way(tuples).unwrap();
+    let reference = ThreadedRuntime::new(run.clone())
+        .run(&plan, &sources)
+        .unwrap();
+
+    let mut cfg = dist_config(run, 2);
+    // No barrier ever fires: this test is about the data connections.
+    cfg.ft.checkpoint_interval_tuples = 10 * tuples;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(DistributedRuntime::new(cfg).run(&format!("twoway:{tuples}")));
+    });
+    let Ok(dist) = done_rx.recv_timeout(Duration::from_secs(120)) else {
+        // Deadlocked workers outlive the test and hold its stderr open.
+        let me = std::process::id().to_string();
+        let _ = std::process::Command::new("pkill")
+            .args(["-KILL", "-P", &me])
+            .status();
+        panic!("the two-way plan deadlocked: no result within 120 s");
+    };
+    let dist = dist.unwrap();
+
+    assert_eq!(dist.ft.recovery.attempts, 1);
+    assert_eq!(dist.ft.result.tuples_in, tuples);
+    assert_eq!(dist.ft.result.tuples_out, reference.tuples_out);
+    let books = |res: &RunResult| -> Vec<(String, u64, u64)> {
+        res.operator_stats
+            .iter()
+            .map(|s| (s.name.clone(), s.tuples_in, s.tuples_out))
+            .collect()
+    };
+    assert_eq!(books(&dist.ft.result), books(&reference));
+}
+
 /// A worker binary that cannot even spawn is a typed, non-retryable error.
 #[test]
 fn unspawnable_worker_is_a_transport_error() {

@@ -5,12 +5,17 @@
 //!
 //! * [`write_frame`] / [`read_frame`] — length-prefixed binary framing over
 //!   any `Read`/`Write` pair. Frames are `u32` little-endian length followed
-//!   by the payload; reads and writes go through `read_exact`/`write_all`,
-//!   so partial reads and partial writes (short `write` returns, half-open
-//!   peers) can never tear a frame. A clean EOF *between* frames is a normal
-//!   end-of-stream (`Ok(None)`); an EOF *inside* a frame is an error — the
-//!   signature of a peer that died mid-send.
-//! * [`send_json`] / [`recv_json`] — serde JSON payloads over the framing.
+//!   by the payload, written with one `write_all` per frame
+//!   ([`write_prefixed`] for senders that build frames in place) and read
+//!   through `read_exact`, so partial reads and partial writes (short
+//!   `write` returns, half-open peers) can never tear a frame. A clean EOF
+//!   *between* frames is a normal end-of-stream (`Ok(None)`); an EOF
+//!   *inside* a frame is an error — the signature of a peer that died
+//!   mid-send. The framing does not care what a payload is: the
+//!   distributed runtime's data connections carry the binary frames of
+//!   `pdsp_engine::wire`, its control connections carry JSON.
+//! * [`send_json`] / [`recv_json`] — serde JSON payloads over the framing,
+//!   the encoding of control messages.
 //! * [`BackoffPolicy`] — the decorrelated-jitter backoff generator
 //!   (SplitMix64-seeded, deterministic per seed) shared by every reconnect
 //!   path and by the controller's sweep retries.
@@ -61,14 +66,32 @@ pub fn wire_now_ns(origin_ns: u64) -> u64 {
 /// a corrupt stream rather than an allocation request.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
-/// Write one length-prefixed frame. `write_all` underneath, so a short
-/// write can never emit a torn frame — either the whole frame reaches the
-/// kernel buffer or an error surfaces.
+/// Bytes a frame's length prefix occupies in front of its payload.
+pub const FRAME_PREFIX_BYTES: usize = 4;
+
+/// Write one length-prefixed frame: prefix and payload leave in a single
+/// `write_all`, so a frame that fits the socket buffer is one system call
+/// and, on a `TCP_NODELAY` socket, one segment — the reader is not woken
+/// for four bytes. A short write can never emit a torn frame — either the
+/// whole frame reaches the kernel buffer or an error surfaces.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+    let mut frame = Vec::with_capacity(FRAME_PREFIX_BYTES + payload.len());
+    frame.extend_from_slice(&[0; FRAME_PREFIX_BYTES]);
+    frame.extend_from_slice(payload);
+    write_prefixed(w, &mut frame)
+}
+
+/// [`write_frame`] for a sender that assembles frames in a buffer it
+/// reuses: `frame` holds [`FRAME_PREFIX_BYTES`] reserved bytes and then the
+/// payload; the prefix is filled in here and the buffer sent as it stands.
+///
+/// # Panics
+/// If `frame` is shorter than the reserved prefix.
+pub fn write_prefixed<W: Write>(w: &mut W, frame: &mut [u8]) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - FRAME_PREFIX_BYTES)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    frame[..FRAME_PREFIX_BYTES].copy_from_slice(&len.to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 
@@ -340,6 +363,42 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), vec![7u8; 1000]);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Counts `write` calls and takes whatever it is offered.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_that_fits_is_one_write() {
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_frame(&mut w, b"heartbeat").unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload leave together");
+        let mut in_place = vec![0u8; FRAME_PREFIX_BYTES];
+        in_place.extend_from_slice(b"data");
+        write_prefixed(&mut w, &mut in_place).unwrap();
+        assert_eq!(w.writes, 2);
+        let mut r = Cursor::new(w.bytes);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"heartbeat");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"data");
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]
