@@ -296,9 +296,9 @@ impl EdgeBatcher {
         Ok(())
     }
 
-    /// Flush every pending builder, then broadcast `msg` to every target —
-    /// the only way markers enter a channel, so each channel's tuple prefix
-    /// before a marker is exactly the pre-marker emission order.
+    /// Flush every pending builder, then send `msg` to every target of every
+    /// route — the only way markers enter a channel, so each channel's tuple
+    /// prefix before a marker is exactly the pre-marker emission order.
     pub(crate) fn flush_then_broadcast(
         &mut self,
         routes: &[OutRoute],
@@ -308,7 +308,16 @@ impl EdgeBatcher {
         reason: FlushReason,
     ) -> Result<()> {
         self.flush_all(routes, downstream, probe, reason)?;
-        crate::runtime::broadcast(routes, downstream, msg)
+        for (route, senders) in routes.iter().zip(downstream) {
+            for (target, tx) in route.targets.iter().zip(senders) {
+                tx.send(Envelope {
+                    channel: target.channel,
+                    msg: msg.clone(),
+                })
+                .map_err(|_| disconnected())?;
+            }
+        }
+        Ok(())
     }
 }
 

@@ -46,8 +46,9 @@
 //! * **Supervised restart** — on failure the coordinator kills the
 //!   remaining worker processes, restores the newest complete checkpoint,
 //!   respawns a fresh process fleet, and replays sources from their
-//!   recorded offsets with the same at-least-once / exactly-once replay
-//!   accounting as the in-process [`crate::fault::FtRuntime`].
+//!   recorded offsets, keeping the same at-least-once / exactly-once replay
+//!   accounting as the in-process [`crate::fault::FtRuntime`] through the
+//!   restart ledger both supervisors share.
 //! * **Graceful degradation** — past the restart budget the job is
 //!   quarantined ([`EngineError::JobQuarantined`]) and the coordinator's
 //!   flight recorder is dumped for post-mortem.
@@ -68,13 +69,13 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    decode, encode, join_instances, spawn_instances, ExecSettings, Reporters, RunClock, SinkState,
+    assemble, join_instances, spawn_instances, ExecSettings, InstanceStats, Reporters, RunClock,
+    SinkState,
 };
-use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RecoveryStats};
+use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RestartLedger};
 use crate::message::Message;
-use crate::operator::OpKind;
 use crate::physical::PhysicalPlan;
-use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult};
+use crate::runtime::{Envelope, RunConfig};
 use crate::testplan::{self, PlanAndSources};
 use crate::transport::Transport;
 use crate::wire::{decode_frame, encode_frame};
@@ -233,17 +234,6 @@ struct DeploySpec {
     trace_every: u64,
 }
 
-/// Per-instance final counters. A struct (not a tuple) because the wire
-/// codec caps tuples at arity 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct WireStat {
-    node: usize,
-    tuples_in: u64,
-    tuples_out: u64,
-    shed: u64,
-    late: u64,
-}
-
 /// One decoded data-plane frame ([`crate::wire`]): an [`Envelope`] plus its
 /// target instance. The receiving worker routes purely on `instance`, so
 /// data connections need no handshake.
@@ -282,7 +272,7 @@ enum ToCoord {
     /// All local instances finished cleanly.
     Done {
         worker: usize,
-        stats: Vec<WireStat>,
+        stats: Vec<InstanceStats>,
         sinks: Vec<(usize, SinkState)>,
         emitted: Vec<(usize, u64)>,
         /// Spans recorded on this worker (empty when tracing is off),
@@ -765,21 +755,14 @@ impl WorkerMain {
             }
         }
 
-        let (coord_tx, coord_rx) = unbounded::<(u64, usize, Vec<u8>)>();
-        let (sink_tx, sink_rx) = unbounded::<(usize, SinkState)>();
-        let (stats_tx, stats_rx) = unbounded::<(usize, u64, u64, u64, u64)>();
-        let reporters = Reporters {
-            coord_tx,
-            sink_tx,
-            stats_tx,
-        };
+        let (reporters, reports) = Reporters::unbounded();
 
         // Checkpoint parts leave the process the moment they are taken:
         // they must survive a SIGKILL that lands after the barrier.
         let part_forwarder = {
             let writer = Arc::clone(&writer);
             std::thread::spawn(move || {
-                for (ckpt, instance, bytes) in coord_rx.iter() {
+                for (ckpt, instance, bytes) in reports.parts.iter() {
                     let msg = ToCoord::Part {
                         worker: worker_id,
                         ckpt,
@@ -921,7 +904,7 @@ impl WorkerMain {
                 // observed: a clean run with mismatched wire tuples is
                 // still a failure under --check-schemas.
                 if let Some(e) = wire_check.as_ref().and_then(|c| c.to_error(worker_id)) {
-                    let sinks: Vec<(usize, SinkState)> = sink_rx.iter().collect();
+                    let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
                     let failed = ToCoord::Failed {
                         worker: worker_id,
                         error: e.to_string(),
@@ -930,17 +913,8 @@ impl WorkerMain {
                     let _ = send_json(&mut *writer.lock(), &failed);
                     return Err(e);
                 }
-                let stats: Vec<WireStat> = stats_rx
-                    .iter()
-                    .map(|(node, tuples_in, tuples_out, shed, late)| WireStat {
-                        node,
-                        tuples_in,
-                        tuples_out,
-                        shed,
-                        late,
-                    })
-                    .collect();
-                let sinks: Vec<(usize, SinkState)> = sink_rx.iter().collect();
+                let stats: Vec<InstanceStats> = reports.stats.iter().collect();
+                let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
                 // Every span writer (instance threads, acceptor readers) has
                 // joined above, so the drain observes all recorded spans.
                 let spans = tel.trace.as_ref().map(|b| b.drain()).unwrap_or_default();
@@ -962,7 +936,7 @@ impl WorkerMain {
                 // hung or dead, so joining the data plane could block; the
                 // coordinator kills the whole fleet after every attempt.
                 stop.store(true, Ordering::SeqCst);
-                let sinks: Vec<(usize, SinkState)> = sink_rx.iter().collect();
+                let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
                 let failed = ToCoord::Failed {
                     worker: worker_id,
                     error: e.to_string(),
@@ -999,7 +973,7 @@ struct DistAttempt {
     new_parts: Vec<(u64, usize, Vec<u8>)>,
     /// Final (on success) or failure-time partial sink states.
     sink_states: HashMap<usize, SinkState>,
-    op_stats: Vec<WireStat>,
+    op_stats: Vec<InstanceStats>,
     /// Best-known source offsets (heartbeats, then Done).
     emitted: HashMap<usize, u64>,
     /// Heartbeat-reported sink deliveries this attempt, by worker.
@@ -1094,39 +1068,14 @@ impl DistributedRuntime {
         let start = Instant::now();
         let epoch_ns = epoch_ns_now();
         let mut alarms_observed: Vec<Alarm> = Vec::new();
-        let mut parts: HashMap<u64, HashMap<usize, Vec<u8>>> = HashMap::new();
-        let mut restore: HashMap<usize, Vec<u8>> = HashMap::new();
-        let mut sink_partials: HashMap<usize, SinkState> = HashMap::new();
-        let mut emitted_totals: HashMap<usize, u64> = HashMap::new();
+        let mut ledger = RestartLedger::new(n, self.config.ft.mode);
+        // Best-known source offsets by instance id, across attempts.
+        let mut emitted_totals: Vec<u64> = vec![0; n];
         let mut last_snapshots: HashMap<usize, InstanceSnapshot> = HashMap::new();
-        let mut stats = RecoveryStats {
-            attempts: 0,
-            completed_checkpoints: 0,
-            restored_checkpoint: None,
-            recovery_times_ms: Vec::new(),
-            replayed_tuples: 0,
-            duplicate_tuples: 0,
-            rolled_back_tuples: 0,
-            late_tuples: 0,
-            mode: self.config.ft.mode,
-        };
 
         loop {
-            stats.attempts += 1;
-            let first = stats.attempts == 1;
-            // Sink totals carried into this attempt by restored snapshots:
-            // the baseline for heartbeat-estimated delivery accounting.
-            let attempt_base_sink: u64 = {
-                let mut total = 0u64;
-                for inst in &plan.instances {
-                    if matches!(plan.logical.nodes[inst.node].kind, OpKind::Sink) {
-                        if let Some(bytes) = restore.get(&inst.id) {
-                            total += decode::<SinkState>(bytes, "sink")?.total;
-                        }
-                    }
-                }
-                total
-            };
+            ledger.stats.attempts += 1;
+            let first = ledger.stats.attempts == 1;
             let gen = generation.fetch_add(1, Ordering::SeqCst) + 1;
             // Heartbeat bookkeeping starts fresh each attempt — interval
             // counters restart with the new fleet, and stale entries from a
@@ -1148,8 +1097,8 @@ impl DistributedRuntime {
                 &mut children,
                 spec,
                 &assignment,
-                &restore,
-                stats.attempts,
+                ledger.restore(),
+                ledger.stats.attempts,
                 epoch_ns,
                 first.then_some(self.config.kill).flatten(),
                 first.then_some(self.config.drop_data_after_ms).flatten(),
@@ -1164,36 +1113,34 @@ impl DistributedRuntime {
                 let _ = c.wait();
             }
 
-            for (id, inst, bytes) in att.new_parts {
-                parts.entry(id).or_default().insert(inst, bytes);
-            }
-            stats.completed_checkpoints = parts.values().filter(|p| p.len() == n).count() as u64;
+            ledger.record_parts(att.new_parts);
             for (inst, v) in &att.emitted {
-                let e = emitted_totals.entry(*inst).or_insert(0);
-                *e = (*e).max(*v);
+                if let Some(e) = emitted_totals.get_mut(*inst) {
+                    *e = (*e).max(*v);
+                }
             }
             for (inst, snap) in att.snapshots {
                 last_snapshots.insert(inst, snap);
             }
 
-            match att.outcome {
+            let root = match att.outcome {
                 Ok(()) => {
-                    stats.late_tuples = att.op_stats.iter().map(|s| s.late).sum();
                     let result = assemble(
                         &plan,
-                        &self.config.ft.run,
+                        self.config.ft.run.capture_limit,
                         att.sink_states,
                         &att.op_stats,
                         &emitted_totals,
                         start,
                     );
+                    ledger.stats.late_tuples = result.total_late();
                     tel.recorder.record(
                         FlightEventKind::RunFinished,
                         0,
                         0,
                         format!(
                             "{} tuples delivered after {} attempt(s)",
-                            result.tuples_out, stats.attempts
+                            result.tuples_out, ledger.stats.attempts
                         ),
                     );
                     let mut ids: Vec<usize> = last_snapshots.keys().copied().collect();
@@ -1207,99 +1154,55 @@ impl DistributedRuntime {
                     return Ok(DistributedRun {
                         ft: FtRunResult {
                             result,
-                            recovery: stats,
+                            recovery: ledger.stats,
                         },
                         snapshots,
                         alarms: alarms_observed,
                         spans,
                     });
                 }
-                Err(root) => {
-                    let detected = Instant::now();
-                    let restarts_used = stats.attempts - 1;
-                    for (inst, st) in att.sink_states {
-                        sink_partials.insert(inst, st);
-                    }
-                    if restarts_used >= self.config.ft.restart.max_restarts {
-                        if tel.config.dump_on_error {
-                            tel.recorder.dump_to_stderr(&format!(
-                                "quarantining job after {restarts_used} restart(s): {root}"
-                            ));
-                        }
-                        return Err(EngineError::JobQuarantined {
-                            restarts: restarts_used,
-                            cause: root.to_string(),
-                        });
-                    }
-                    let restored = parts
-                        .iter()
-                        .filter(|(_, p)| p.len() == n)
-                        .map(|(&id, _)| id)
-                        .max();
-                    stats.restored_checkpoint = restored;
-                    tel.recorder.record(
-                        FlightEventKind::RecoveryStarted,
-                        0,
-                        0,
-                        match restored {
-                            Some(id) => format!("restoring checkpoint {id}: {root}"),
-                            None => format!("cold restart (no complete checkpoint): {root}"),
-                        },
-                    );
-                    restore.clear();
-                    let mut ckpt_sink_total = 0u64;
-                    if let Some(id) = restored {
-                        for (&inst, bytes) in &parts[&id] {
-                            restore.insert(inst, bytes.clone());
-                        }
-                        for inst in &plan.instances {
-                            if matches!(plan.logical.nodes[inst.node].kind, OpKind::Sink) {
-                                if let Some(bytes) = parts[&id].get(&inst.id) {
-                                    ckpt_sink_total += decode::<SinkState>(bytes, "sink")?.total;
-                                }
-                            }
-                        }
-                    }
-                    for &src in &plan.source_instances() {
-                        let at_failure = emitted_totals.get(&src).copied().unwrap_or(0);
-                        let offset = restore
-                            .get(&src)
-                            .map(|b| decode::<u64>(b, "source offset"))
-                            .transpose()?
-                            .unwrap_or(0);
-                        stats.replayed_tuples += at_failure.saturating_sub(offset);
-                    }
-                    // Failure-time sink total: what workers reported in
-                    // Failed, or — for SIGKILLed workers that reported
-                    // nothing — the heartbeat estimate.
-                    let reported: u64 = sink_partials.values().map(|s| s.total).sum();
-                    let estimated = attempt_base_sink + att.hb_sinks.values().copied().sum::<u64>();
-                    let delta = reported.max(estimated).saturating_sub(ckpt_sink_total);
-                    match self.config.ft.mode {
-                        DeliveryMode::AtLeastOnce => {
-                            stats.duplicate_tuples += delta;
-                            for (inst, st) in &sink_partials {
-                                restore.insert(*inst, encode(st, "sink")?);
-                            }
-                        }
-                        DeliveryMode::ExactlyOnce => {
-                            stats.rolled_back_tuples += delta;
-                        }
-                    }
-                    std::thread::sleep(self.config.ft.restart.delay(restarts_used));
-                    let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
-                    stats.recovery_times_ms.push(recovery_ms);
-                    tel.recorder.record(
-                        FlightEventKind::RestartCompleted,
-                        0,
-                        0,
-                        format!(
-                            "fleet restart {} after {recovery_ms:.2} ms",
-                            restarts_used + 1
-                        ),
-                    );
+                Err(root) => root,
+            };
+            let detected = Instant::now();
+            let restarts_used = ledger.stats.attempts - 1;
+            let reported = ledger.record_partials(att.sink_states);
+            if restarts_used >= self.config.ft.restart.max_restarts {
+                if tel.config.dump_on_error {
+                    tel.recorder.dump_to_stderr(&format!(
+                        "quarantining job after {restarts_used} restart(s): {root}"
+                    ));
                 }
+                return Err(EngineError::JobQuarantined {
+                    restarts: restarts_used,
+                    cause: root.to_string(),
+                });
             }
+            // Failure-time sink total: what workers reported in Failed, or —
+            // for SIGKILLed workers that reported nothing — the heartbeat
+            // estimate on top of what this attempt restored.
+            let estimated = ledger.restored_sink_total(&plan)? + att.hb_sinks.values().sum::<u64>();
+            let restored = ledger.restart(&plan, &emitted_totals, reported.max(estimated))?;
+            tel.recorder.record(
+                FlightEventKind::RecoveryStarted,
+                0,
+                0,
+                match restored {
+                    Some(id) => format!("restoring checkpoint {id}: {root}"),
+                    None => format!("cold restart (no complete checkpoint): {root}"),
+                },
+            );
+            std::thread::sleep(self.config.ft.restart.delay(restarts_used));
+            let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
+            ledger.stats.recovery_times_ms.push(recovery_ms);
+            tel.recorder.record(
+                FlightEventKind::RestartCompleted,
+                0,
+                0,
+                format!(
+                    "fleet restart {} after {recovery_ms:.2} ms",
+                    restarts_used + 1
+                ),
+            );
         }
     }
 
@@ -1770,60 +1673,6 @@ fn spawn_control_acceptor(
             }
         });
     });
-}
-
-/// Fold per-worker reports into the engine's [`RunResult`] shape, mirroring
-/// the in-process fault-tolerant assembly.
-fn assemble(
-    plan: &PhysicalPlan,
-    run: &RunConfig,
-    sink_states: HashMap<usize, SinkState>,
-    op_stats: &[WireStat],
-    emitted: &HashMap<usize, u64>,
-    start: Instant,
-) -> RunResult {
-    let mut result = RunResult {
-        sink_tuples: Vec::new(),
-        latencies_ns: Vec::new(),
-        tuples_out: 0,
-        tuples_in: 0,
-        elapsed: Duration::ZERO,
-        operator_stats: plan
-            .logical
-            .nodes
-            .iter()
-            .map(|node| OperatorStats {
-                node: node.id,
-                name: node.name.clone(),
-                tuples_in: 0,
-                tuples_out: 0,
-                shed: 0,
-                late: 0,
-            })
-            .collect(),
-    };
-    let mut ordered: Vec<(usize, SinkState)> = sink_states.into_iter().collect();
-    ordered.sort_unstable_by_key(|&(i, _)| i);
-    for (_, st) in ordered {
-        let room = run.capture_limit - result.sink_tuples.len().min(run.capture_limit);
-        result
-            .sink_tuples
-            .extend(st.captured.into_iter().take(room));
-        result.latencies_ns.extend(st.latencies);
-        result.tuples_out += st.total;
-    }
-    for &src in &plan.source_instances() {
-        result.tuples_in += emitted.get(&src).copied().unwrap_or(0);
-    }
-    for s in op_stats {
-        let slot = &mut result.operator_stats[s.node];
-        slot.tuples_in += s.tuples_in;
-        slot.tuples_out += s.tuples_out;
-        slot.shed += s.shed;
-        slot.late += s.late;
-    }
-    result.elapsed = start.elapsed();
-    result
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
-//! Shared per-attempt execution loops.
+//! The execution core: the per-attempt worker loops of every backend.
 //!
 //! One "attempt" spawns a thread per physical instance and runs it to
 //! completion (or failure). The loops here carry the full protocol stack —
 //! micro-batching, watermarks, aligned Chandy–Lamport barriers, the
-//! overload-escalation ladder — and are used by two drivers:
+//! overload-escalation ladder — and are used by three drivers:
 //!
-//! * [`crate::fault::FtRuntime`] runs every instance in-process over a
-//!   [`crate::transport::LocalTransport`];
+//! * [`crate::runtime::ThreadedRuntime`] runs every instance in-process
+//!   with barriers off (`ckpt_interval: 0`), through [`run_local_attempt`];
+//! * [`crate::fault::FtRuntime`] runs every instance in-process with
+//!   barriers on, through [`run_local_attempt`], once per restart;
 //! * the distributed worker (see [`crate::distributed`]) runs only the
 //!   instances placed on it, over a mesh transport whose remote endpoints
 //!   serialize frames onto TCP connections.
@@ -15,7 +17,8 @@
 //! `Sender<Envelope>` handed out by a [`Transport`], and everything an
 //! attempt reports — checkpoint parts, sink states, per-instance counters —
 //! flows through in-process reporter channels that the driver either drains
-//! locally or forwards over the wire.
+//! locally or forwards over the wire. [`assemble`] turns what a successful
+//! attempt reported into the [`RunResult`] all three drivers return.
 
 use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
@@ -24,19 +27,18 @@ use crate::message::{Message, WatermarkTracker};
 use crate::operator::{OpKind, OperatorInstance};
 use crate::physical::{PhysicalPlan, RouterState};
 use crate::pressure::{PressureGauge, PressureLevel, Shedder};
-use crate::runtime::SourceFactory;
-use crate::runtime::{panic_cause, pick_root_error, take_receiver, Envelope, RunConfig};
+use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
 use crate::telemetry::Probe;
-use crate::transport::Transport;
+use crate::transport::{LocalTransport, Transport};
 use crate::value::Tuple;
-use crossbeam_channel::{Receiver, Sender};
+use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Time base for `emit_ns` / latency stamps.
 ///
@@ -75,6 +77,18 @@ pub(crate) struct SinkState {
     pub(crate) captured: Vec<Tuple>,
     pub(crate) latencies: Vec<u64>,
     pub(crate) total: u64,
+}
+
+/// Final counters of one finished instance, folded per logical node into
+/// [`OperatorStats`]. Serializable: distributed workers ship them to the
+/// coordinator in their `Done` report.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub(crate) struct InstanceStats {
+    pub(crate) node: usize,
+    pub(crate) tuples_in: u64,
+    pub(crate) tuples_out: u64,
+    pub(crate) shed: u64,
+    pub(crate) late: u64,
 }
 
 /// Serialize a snapshot payload (checkpoint part, source offset, …).
@@ -251,22 +265,52 @@ pub(crate) struct ExecSettings {
     /// Block already-delivered barrier channels until the checkpoint
     /// completes (exactly-once semantics).
     pub(crate) exactly_once: bool,
-    /// Source barrier cadence in tuples.
+    /// Source barrier cadence in tuples; `0` injects no barriers, so no
+    /// checkpoint is ever taken.
     pub(crate) ckpt_interval: u64,
 }
 
 /// Reporter channels one attempt writes into. Always in-process: the
-/// fault-tolerant runtime drains them after the join; the distributed
-/// worker forwards them to the coordinator as they arrive (so checkpoint
-/// parts survive a later SIGKILL of the worker).
+/// in-process drivers drain them after the join; the distributed worker
+/// forwards them to the coordinator as they arrive (so checkpoint parts
+/// survive a later SIGKILL of the worker).
 #[derive(Clone)]
 pub(crate) struct Reporters {
     /// `(checkpoint id, instance id, state bytes)` parts.
     pub(crate) coord_tx: Sender<(u64, usize, Vec<u8>)>,
     /// Final (on success) or partial (on failure) sink states by instance.
     pub(crate) sink_tx: Sender<(usize, SinkState)>,
-    /// `(logical node, in, out, shed, late)` per finished instance.
-    pub(crate) stats_tx: Sender<(usize, u64, u64, u64, u64)>,
+    /// Counters of every finished instance.
+    pub(crate) stats_tx: Sender<InstanceStats>,
+}
+
+/// The receiving ends of [`Reporters`].
+pub(crate) struct Reports {
+    pub(crate) parts: Receiver<(u64, usize, Vec<u8>)>,
+    pub(crate) sinks: Receiver<(usize, SinkState)>,
+    pub(crate) stats: Receiver<InstanceStats>,
+}
+
+impl Reporters {
+    /// Unbounded reporter channels, so reporting never blocks a worker.
+    pub(crate) fn unbounded() -> (Reporters, Reports) {
+        let (coord_tx, parts) = unbounded();
+        let (sink_tx, sinks) = unbounded();
+        let (stats_tx, stats) = unbounded();
+        let reporters = Reporters {
+            coord_tx,
+            sink_tx,
+            stats_tx,
+        };
+        (
+            reporters,
+            Reports {
+                parts,
+                sinks,
+                stats,
+            },
+        )
+    }
 }
 
 /// One spawned instance: `(instance id, logical node, worker thread)`.
@@ -296,6 +340,13 @@ pub(crate) fn spawn_instances(
     restarted: bool,
 ) -> Result<Vec<InstanceHandle>> {
     let source_nodes = plan.logical.sources();
+    if sources.len() != source_nodes.len() {
+        return Err(EngineError::Execution(format!(
+            "plan has {} source nodes but {} source factories were supplied",
+            source_nodes.len(),
+            sources.len()
+        )));
+    }
     let exactly_once = settings.exactly_once;
     let ckpt_interval = settings.ckpt_interval;
     let batch_size = settings.run.batch_size;
@@ -422,7 +473,12 @@ pub(crate) fn spawn_instances(
                         Message::Eos,
                         FlushReason::Eos,
                     )?;
-                    let _ = stats_tx.send((lnode, emitted, emitted, 0, 0));
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: emitted,
+                        tuples_out: emitted,
+                        ..InstanceStats::default()
+                    });
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -553,7 +609,11 @@ pub(crate) fn spawn_instances(
                         }
                         probe.mark_busy(work);
                     }
-                    let _ = stats_tx.send((lnode, st.total, 0, 0, 0));
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: st.total,
+                        ..InstanceStats::default()
+                    });
                     let _ = sink_tx.send((inst_id, st));
                     Ok(())
                 });
@@ -626,9 +686,7 @@ pub(crate) fn spawn_instances(
                         }
                         if let Some(g) = &gauge {
                             // Escalation ladder: rung from the bounded input
-                            // queue's occupancy — identical to the threaded
-                            // runtime, so the overload books balance
-                            // regardless of where the instance runs.
+                            // queue's occupancy.
                             let level = g.level(depth);
                             probe.pressure(level as u64);
                             match level {
@@ -888,7 +946,13 @@ pub(crate) fn spawn_instances(
                         // last mid-storm level.
                         probe.pressure(PressureLevel::Normal as u64);
                     }
-                    let _ = stats_tx.send((lnode, n_in, n_out, n_shed, op.late_events()));
+                    let _ = stats_tx.send(InstanceStats {
+                        node: lnode,
+                        tuples_in: n_in,
+                        tuples_out: n_out,
+                        shed: n_shed,
+                        late: op.late_events(),
+                    });
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -896,6 +960,129 @@ pub(crate) fn spawn_instances(
         }
     }
     Ok(handles)
+}
+
+/// Everything one attempt reported back to its driver.
+pub(crate) struct Attempt {
+    /// `Err` holds the root cause of a failed attempt.
+    pub(crate) outcome: std::result::Result<(), EngineError>,
+    /// `(checkpoint id, instance id, state bytes)` parts produced.
+    pub(crate) new_parts: Vec<(u64, usize, Vec<u8>)>,
+    /// Final (on success) or partial (on failure) sink states by instance.
+    pub(crate) sink_states: HashMap<usize, SinkState>,
+    /// Counters of every instance that finished.
+    pub(crate) op_stats: Vec<InstanceStats>,
+    /// Every instance's emitted-counter value after the join (the source
+    /// offsets reached), indexed by instance id.
+    pub(crate) offsets: Vec<u64>,
+}
+
+/// Run one attempt of the whole plan in this process: every instance over a
+/// [`LocalTransport`], joined before the reports are drained. `Err` is a
+/// non-retryable setup failure; a worker failure is [`Attempt::outcome`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_local_attempt(
+    plan: &PhysicalPlan,
+    sources: &[Arc<dyn SourceFactory>],
+    settings: &ExecSettings,
+    injector: Option<FaultInjector>,
+    restore: &HashMap<usize, Vec<u8>>,
+    emitted_counters: &Arc<Vec<AtomicU64>>,
+    start: Instant,
+    tel: Option<&RunTelemetry>,
+    restarted: bool,
+) -> Result<Attempt> {
+    let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..plan.instance_count())
+        .map(|_| {
+            let (tx, rx) = bounded::<Envelope>(settings.run.frame_capacity());
+            (tx, Some(rx))
+        })
+        .unzip();
+    let transport = LocalTransport::new(senders);
+    let (reporters, reports) = Reporters::unbounded();
+    let handles = spawn_instances(
+        plan,
+        sources,
+        None,
+        &transport,
+        &mut receivers,
+        settings,
+        injector,
+        restore,
+        emitted_counters,
+        RunClock::Local(start),
+        &reporters,
+        tel,
+        restarted,
+    )?;
+    // Drop the driver's copies so receivers see disconnects if a worker dies.
+    drop(reporters);
+    drop(transport);
+    let outcome = match join_instances(handles, tel) {
+        Some(e) => Err(e),
+        None => Ok(()),
+    };
+    Ok(Attempt {
+        outcome,
+        new_parts: reports.parts.iter().collect(),
+        sink_states: reports.sinks.iter().collect(),
+        op_stats: reports.stats.iter().collect(),
+        offsets: emitted_counters
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .collect(),
+    })
+}
+
+/// Fold a successful attempt's reports into a [`RunResult`]: counters per
+/// logical node, `tuples_in` from the source instances' `offsets` (indexed
+/// by instance id), and sink output concatenated in instance order, so which
+/// rows a `capture_limit` keeps does not depend on thread scheduling.
+pub(crate) fn assemble(
+    plan: &PhysicalPlan,
+    capture_limit: usize,
+    sink_states: HashMap<usize, SinkState>,
+    op_stats: &[InstanceStats],
+    offsets: &[u64],
+    start: Instant,
+) -> RunResult {
+    let mut operator_stats: Vec<OperatorStats> = plan
+        .logical
+        .nodes
+        .iter()
+        .map(|node| OperatorStats {
+            node: node.id,
+            name: node.name.clone(),
+            ..OperatorStats::default()
+        })
+        .collect();
+    for s in op_stats {
+        let slot = &mut operator_stats[s.node];
+        slot.tuples_in += s.tuples_in;
+        slot.tuples_out += s.tuples_out;
+        slot.shed += s.shed;
+        slot.late += s.late;
+    }
+    let mut result = RunResult {
+        sink_tuples: Vec::new(),
+        latencies_ns: Vec::new(),
+        tuples_out: 0,
+        tuples_in: plan.source_instances().iter().map(|&i| offsets[i]).sum(),
+        elapsed: Duration::ZERO,
+        operator_stats,
+    };
+    let mut sinks: Vec<(usize, SinkState)> = sink_states.into_iter().collect();
+    sinks.sort_unstable_by_key(|&(i, _)| i);
+    for (_, st) in sinks {
+        let room = capture_limit.saturating_sub(result.sink_tuples.len());
+        result
+            .sink_tuples
+            .extend(st.captured.into_iter().take(room));
+        result.latencies_ns.extend(st.latencies);
+        result.tuples_out += st.total;
+    }
+    result.elapsed = start.elapsed();
+    result
 }
 
 /// Join an attempt's worker threads, record failures in the flight
@@ -938,6 +1125,47 @@ pub(crate) fn join_instances(
         }
     }
     pick_root_error(errors)
+}
+
+/// One worker dying tears down its neighbours through channel disconnects,
+/// so several workers usually fail at once. The panic or injected fault
+/// that started the cascade is the root cause; generic channel-disconnect
+/// `Execution` errors are downstream symptoms and rank last.
+fn pick_root_error(errors: Vec<EngineError>) -> Option<EngineError> {
+    fn rank(e: &EngineError) -> u8 {
+        match e {
+            EngineError::WorkerPanicked { .. } | EngineError::FaultInjected { .. } => 0,
+            EngineError::Execution(_) => 2,
+            _ => 1,
+        }
+    }
+    errors.into_iter().fold(None, |best, e| match best {
+        None => Some(e),
+        Some(b) if rank(&e) < rank(&b) => Some(e),
+        Some(b) => Some(b),
+    })
+}
+
+/// Extract a human-readable message from a panic payload (the payloads
+/// `panic!` produces are `&str` or `String`; anything else is opaque).
+fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
+/// Take an instance's receiver out of the shared table exactly once.
+fn take_receiver(
+    receivers: &mut [Option<Receiver<Envelope>>],
+    id: usize,
+) -> Result<Receiver<Envelope>> {
+    receivers.get_mut(id).and_then(Option::take).ok_or_else(|| {
+        EngineError::Execution(format!(
+            "internal routing error: receiver for instance {id} missing or already taken"
+        ))
+    })
 }
 
 #[cfg(test)]

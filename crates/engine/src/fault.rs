@@ -1,7 +1,7 @@
 //! Fault injection and checkpoint-based recovery.
 //!
-//! [`FtRuntime`] wraps the threaded execution model with aligned checkpoint
-//! barriers (Chandy–Lamport as deployed in Flink): source instances emit
+//! [`FtRuntime`] runs the threaded execution model with aligned checkpoint
+//! barriers on (Chandy–Lamport as deployed in Flink): source instances emit
 //! [`Message::Barrier`] every `checkpoint_interval_tuples` tuples, operators
 //! align barriers across their input channels, snapshot their state through
 //! [`crate::operator::OperatorInstance::snapshot`], and forward the barrier.
@@ -14,23 +14,21 @@
 //! re-deliver.
 //!
 //! The per-attempt worker loops live in `crate::exec` and are shared with
-//! the distributed runtime — this module supervises single-process attempts
-//! over a `crate::transport::LocalTransport`.
+//! the threaded and distributed runtimes — this module supervises
+//! single-process attempts (`crate::exec::run_local_attempt`, the same call
+//! `ThreadedRuntime` makes once with barriers off). The restart bookkeeping
+//! between attempts, `RestartLedger`, is shared with the distributed
+//! coordinator.
 //!
 //! UDO state is opaque to the engine and is *not* snapshotted; jobs with
 //! stateful UDOs recover with at-least-once semantics regardless of mode.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{
-    decode, encode, join_instances, spawn_instances, ExecSettings, Reporters, RunClock, SinkState,
-};
+use crate::exec::{assemble, decode, encode, run_local_attempt, ExecSettings, SinkState};
 #[allow(unused_imports)] // referenced by the module docs
 use crate::message::Message;
-use crate::operator::OpKind;
 use crate::physical::PhysicalPlan;
-use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
-use crate::transport::LocalTransport;
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crate::runtime::{RunConfig, RunResult, SourceFactory};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -285,15 +283,126 @@ pub struct FtRunResult {
     pub recovery: RecoveryStats,
 }
 
-/// Everything one attempt reports back to the supervisor.
-struct Attempt {
-    outcome: std::result::Result<(), EngineError>,
-    /// (checkpoint id, instance id, state bytes) parts produced.
-    new_parts: Vec<(u64, usize, Vec<u8>)>,
-    /// Final (on success) or partial (on failure) sink states by instance.
-    sink_states: HashMap<usize, SinkState>,
-    /// (logical node, in, out, shed, late) per finished instance.
-    op_stats: Vec<(usize, u64, u64, u64, u64)>,
+/// Restart bookkeeping shared by both supervisors — [`FtRuntime`] and the
+/// distributed coordinator. It keeps every checkpoint part and the newest
+/// partial state of every sink across attempts, and after a failure
+/// restores the newest complete checkpoint and accounts what replay will
+/// repeat. Backoff, telemetry and giving up stay with the caller.
+pub(crate) struct RestartLedger {
+    /// Instances per checkpoint: a checkpoint is complete with this many parts.
+    instances: usize,
+    /// Checkpoint id -> instance id -> state bytes.
+    parts: HashMap<u64, HashMap<usize, Vec<u8>>>,
+    /// Newest failure-time sink state per sink instance.
+    sink_partials: HashMap<usize, SinkState>,
+    /// What the next attempt restores, by instance id.
+    restore: HashMap<usize, Vec<u8>>,
+    /// Recovery accounting, returned with the run result.
+    pub(crate) stats: RecoveryStats,
+}
+
+impl RestartLedger {
+    /// Empty ledger for a plan of `instances` physical instances.
+    pub(crate) fn new(instances: usize, mode: DeliveryMode) -> Self {
+        RestartLedger {
+            instances,
+            parts: HashMap::new(),
+            sink_partials: HashMap::new(),
+            restore: HashMap::new(),
+            stats: RecoveryStats {
+                attempts: 0,
+                completed_checkpoints: 0,
+                restored_checkpoint: None,
+                recovery_times_ms: Vec::new(),
+                replayed_tuples: 0,
+                duplicate_tuples: 0,
+                rolled_back_tuples: 0,
+                late_tuples: 0,
+                mode,
+            },
+        }
+    }
+
+    /// Restore payloads the next attempt starts from (empty = cold start).
+    pub(crate) fn restore(&self) -> &HashMap<usize, Vec<u8>> {
+        &self.restore
+    }
+
+    /// Record an attempt's checkpoint parts.
+    pub(crate) fn record_parts(&mut self, parts: Vec<(u64, usize, Vec<u8>)>) {
+        for (id, inst, bytes) in parts {
+            self.parts.entry(id).or_default().insert(inst, bytes);
+        }
+        let n = self.instances;
+        self.stats.completed_checkpoints =
+            self.parts.values().filter(|p| p.len() == n).count() as u64;
+    }
+
+    /// Keep a failed attempt's partial sink states and return the total
+    /// delivered by every sink's newest reported state.
+    pub(crate) fn record_partials(&mut self, sinks: HashMap<usize, SinkState>) -> u64 {
+        self.sink_partials.extend(sinks);
+        self.sink_partials.values().map(|s| s.total).sum()
+    }
+
+    /// Sink deliveries carried by the current restore payloads.
+    pub(crate) fn restored_sink_total(&self, plan: &PhysicalPlan) -> Result<u64> {
+        let mut total = 0;
+        for inst in plan.sink_instances() {
+            if let Some(bytes) = self.restore.get(&inst) {
+                total += decode::<SinkState>(bytes, "sink")?.total;
+            }
+        }
+        Ok(total)
+    }
+
+    /// Prepare the next attempt after a failure: restore the newest
+    /// checkpoint with a part from every instance (or start cold), count the
+    /// source tuples replay re-emits from `offsets_at_failure` (indexed by
+    /// instance id), and charge the sink deliveries past the checkpoint —
+    /// `sink_total_at_failure` minus the checkpoint's — as duplicates
+    /// (at-least-once, where sinks keep their failure-time state) or as
+    /// rolled back (exactly-once). Returns the restored checkpoint id.
+    pub(crate) fn restart(
+        &mut self,
+        plan: &PhysicalPlan,
+        offsets_at_failure: &[u64],
+        sink_total_at_failure: u64,
+    ) -> Result<Option<u64>> {
+        let n = self.instances;
+        let restored = self
+            .parts
+            .iter()
+            .filter(|(_, p)| p.len() == n)
+            .map(|(&id, _)| id)
+            .max();
+        self.stats.restored_checkpoint = restored;
+        self.restore = restored
+            .map(|id| self.parts[&id].clone())
+            .unwrap_or_default();
+        for src in plan.source_instances() {
+            let offset = self
+                .restore
+                .get(&src)
+                .map(|b| decode::<u64>(b, "source offset"))
+                .transpose()?
+                .unwrap_or(0);
+            self.stats.replayed_tuples += offsets_at_failure[src].saturating_sub(offset);
+        }
+        let delta = sink_total_at_failure.saturating_sub(self.restored_sink_total(plan)?);
+        match self.stats.mode {
+            DeliveryMode::AtLeastOnce => {
+                self.stats.duplicate_tuples += delta;
+                // Sinks keep their failure-time state: nothing delivered is
+                // un-delivered.
+                for (inst, st) in &self.sink_partials {
+                    self.restore.insert(*inst, encode(st, "sink")?);
+                }
+            }
+            DeliveryMode::ExactlyOnce => self.stats.rolled_back_tuples += delta,
+        }
+        Ok(restored)
+    }
 }
 
 /// The supervising fault-tolerant executor.
@@ -333,14 +442,6 @@ impl FtRuntime {
         tel: Option<&RunTelemetry>,
     ) -> Result<FtRunResult> {
         self.config.validate()?;
-        let source_nodes = plan.logical.sources();
-        if sources.len() != source_nodes.len() {
-            return Err(EngineError::Execution(format!(
-                "plan has {} source nodes but {} source factories were supplied",
-                source_nodes.len(),
-                sources.len()
-            )));
-        }
         let n = plan.instance_count();
         if let Some(t) = tel {
             t.recorder.record(
@@ -354,44 +455,38 @@ impl FtRuntime {
         }
         let start = Instant::now();
         let emitted: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        // Checkpoint parts accumulated across attempts: id -> instance -> bytes.
-        let mut parts: HashMap<u64, HashMap<usize, Vec<u8>>> = HashMap::new();
-        let mut sink_partials: HashMap<usize, SinkState> = HashMap::new();
-        let mut restore: HashMap<usize, Vec<u8>> = HashMap::new();
-        let mut stats = RecoveryStats {
-            attempts: 0,
-            completed_checkpoints: 0,
-            restored_checkpoint: None,
-            recovery_times_ms: Vec::new(),
-            replayed_tuples: 0,
-            duplicate_tuples: 0,
-            rolled_back_tuples: 0,
-            late_tuples: 0,
-            mode: self.config.mode,
+        let settings = ExecSettings {
+            run: self.config.run.clone(),
+            exactly_once: self.config.mode == DeliveryMode::ExactlyOnce,
+            ckpt_interval: self.config.checkpoint_interval_tuples,
         };
+        let mut ledger = RestartLedger::new(n, self.config.mode);
 
         loop {
-            stats.attempts += 1;
-            let attempt = self.run_attempt(
+            ledger.stats.attempts += 1;
+            let attempt = run_local_attempt(
                 plan,
                 sources,
+                &settings,
                 injector.clone(),
-                &restore,
+                ledger.restore(),
                 &emitted,
                 start,
                 tel,
-                stats.attempts > 1,
+                ledger.stats.attempts > 1,
             )?;
-            for (id, inst, bytes) in attempt.new_parts {
-                parts.entry(id).or_default().insert(inst, bytes);
-            }
-            stats.completed_checkpoints = parts.values().filter(|p| p.len() == n).count() as u64;
-
-            match attempt.outcome {
+            ledger.record_parts(attempt.new_parts);
+            let root = match attempt.outcome {
                 Ok(()) => {
-                    stats.late_tuples = attempt.op_stats.iter().map(|&(_, _, _, _, l)| l).sum();
-                    let result =
-                        self.assemble(plan, attempt.sink_states, attempt.op_stats, &emitted, start);
+                    let result = assemble(
+                        plan,
+                        self.config.run.capture_limit,
+                        attempt.sink_states,
+                        &attempt.op_stats,
+                        &attempt.offsets,
+                        start,
+                    );
+                    ledger.stats.late_tuples = result.total_late();
                     if let Some(t) = tel {
                         t.recorder.record(
                             FlightEventKind::RunFinished,
@@ -399,237 +494,55 @@ impl FtRuntime {
                             0,
                             format!(
                                 "{} tuples delivered after {} attempt(s)",
-                                result.tuples_out, stats.attempts
+                                result.tuples_out, ledger.stats.attempts
                             ),
                         );
                     }
                     return Ok(FtRunResult {
                         result,
-                        recovery: stats,
+                        recovery: ledger.stats,
                     });
                 }
-                Err(root) => {
-                    let detected = Instant::now();
-                    let restarts_used = stats.attempts - 1;
-                    for (inst, st) in attempt.sink_states {
-                        sink_partials.insert(inst, st);
-                    }
-                    if restarts_used >= self.config.restart.max_restarts {
-                        if let Some(t) = tel {
-                            if t.config.dump_on_error {
-                                t.recorder.dump_to_stderr(&format!(
-                                    "restart budget exhausted ({} restarts): {root}",
-                                    restarts_used
-                                ));
-                            }
-                        }
-                        return Err(root);
-                    }
-                    // Restore point: newest checkpoint with a part from
-                    // every instance.
-                    let restored = parts
-                        .iter()
-                        .filter(|(_, p)| p.len() == n)
-                        .map(|(&id, _)| id)
-                        .max();
-                    stats.restored_checkpoint = restored;
-                    if let Some(t) = tel {
-                        t.recorder.record(
-                            FlightEventKind::RecoveryStarted,
-                            0,
-                            0,
-                            match restored {
-                                Some(id) => format!("restoring checkpoint {id}: {root}"),
-                                None => format!("cold restart (no complete checkpoint): {root}"),
-                            },
-                        );
-                    }
-                    restore.clear();
-                    let mut ckpt_sink_total = 0u64;
-                    if let Some(id) = restored {
-                        for (&inst, bytes) in &parts[&id] {
-                            restore.insert(inst, bytes.clone());
-                        }
-                        for inst_meta in &plan.instances {
-                            if matches!(plan.logical.nodes[inst_meta.node].kind, OpKind::Sink) {
-                                if let Some(bytes) = parts[&id].get(&inst_meta.id) {
-                                    let st: SinkState = decode(bytes, "sink")?;
-                                    ckpt_sink_total += st.total;
-                                }
-                            }
-                        }
-                    }
-                    // Replay accounting from the shared emitted counters.
-                    for inst_meta in &plan.instances {
-                        if !matches!(
-                            plan.logical.nodes[inst_meta.node].kind,
-                            OpKind::Source { .. }
-                        ) {
-                            continue;
-                        }
-                        let at_failure = emitted[inst_meta.id].load(Ordering::SeqCst);
-                        let offset = restore
-                            .get(&inst_meta.id)
-                            .map(|b| decode::<u64>(b, "source offset"))
-                            .transpose()?
-                            .unwrap_or(0);
-                        stats.replayed_tuples += at_failure.saturating_sub(offset);
-                    }
-                    let partial_total: u64 = sink_partials.values().map(|s| s.total).sum();
-                    let delta = partial_total.saturating_sub(ckpt_sink_total);
-                    match self.config.mode {
-                        DeliveryMode::AtLeastOnce => {
-                            stats.duplicate_tuples += delta;
-                            // Sinks keep their failure-time state: nothing
-                            // delivered is un-delivered.
-                            for (inst, st) in &sink_partials {
-                                restore.insert(*inst, encode(st, "sink")?);
-                            }
-                        }
-                        DeliveryMode::ExactlyOnce => {
-                            stats.rolled_back_tuples += delta;
-                        }
-                    }
-                    std::thread::sleep(self.config.restart.delay(restarts_used));
-                    let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
-                    stats.recovery_times_ms.push(recovery_ms);
-                    if let Some(t) = tel {
-                        t.recorder.record(
-                            FlightEventKind::RestartCompleted,
-                            0,
-                            0,
-                            format!("restart {} after {recovery_ms:.2} ms", restarts_used + 1),
-                        );
+                Err(root) => root,
+            };
+            let detected = Instant::now();
+            let restarts_used = ledger.stats.attempts - 1;
+            let reported = ledger.record_partials(attempt.sink_states);
+            if restarts_used >= self.config.restart.max_restarts {
+                if let Some(t) = tel {
+                    if t.config.dump_on_error {
+                        t.recorder.dump_to_stderr(&format!(
+                            "restart budget exhausted ({} restarts): {root}",
+                            restarts_used
+                        ));
                     }
                 }
+                return Err(root);
+            }
+            let restored = ledger.restart(plan, &attempt.offsets, reported)?;
+            if let Some(t) = tel {
+                t.recorder.record(
+                    FlightEventKind::RecoveryStarted,
+                    0,
+                    0,
+                    match restored {
+                        Some(id) => format!("restoring checkpoint {id}: {root}"),
+                        None => format!("cold restart (no complete checkpoint): {root}"),
+                    },
+                );
+            }
+            std::thread::sleep(self.config.restart.delay(restarts_used));
+            let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
+            ledger.stats.recovery_times_ms.push(recovery_ms);
+            if let Some(t) = tel {
+                t.recorder.record(
+                    FlightEventKind::RestartCompleted,
+                    0,
+                    0,
+                    format!("restart {} after {recovery_ms:.2} ms", restarts_used + 1),
+                );
             }
         }
-    }
-
-    fn assemble(
-        &self,
-        plan: &PhysicalPlan,
-        sink_states: HashMap<usize, SinkState>,
-        op_stats: Vec<(usize, u64, u64, u64, u64)>,
-        emitted: &Arc<Vec<AtomicU64>>,
-        start: Instant,
-    ) -> RunResult {
-        let mut result = RunResult {
-            sink_tuples: Vec::new(),
-            latencies_ns: Vec::new(),
-            tuples_out: 0,
-            tuples_in: 0,
-            elapsed: Duration::ZERO,
-            operator_stats: plan
-                .logical
-                .nodes
-                .iter()
-                .map(|node| OperatorStats {
-                    node: node.id,
-                    name: node.name.clone(),
-                    tuples_in: 0,
-                    tuples_out: 0,
-                    shed: 0,
-                    late: 0,
-                })
-                .collect(),
-        };
-        for st in sink_states.into_values() {
-            let room = self.config.run.capture_limit
-                - result.sink_tuples.len().min(self.config.run.capture_limit);
-            result
-                .sink_tuples
-                .extend(st.captured.into_iter().take(room));
-            result.latencies_ns.extend(st.latencies);
-            result.tuples_out += st.total;
-        }
-        for inst_meta in &plan.instances {
-            if matches!(
-                plan.logical.nodes[inst_meta.node].kind,
-                OpKind::Source { .. }
-            ) {
-                result.tuples_in += emitted[inst_meta.id].load(Ordering::SeqCst);
-            }
-        }
-        for (node, n_in, n_out, n_shed, n_late) in op_stats {
-            let s = &mut result.operator_stats[node];
-            s.tuples_in += n_in;
-            s.tuples_out += n_out;
-            s.shed += n_shed;
-            s.late += n_late;
-        }
-        result.elapsed = start.elapsed();
-        result
-    }
-
-    /// Spawn one full topology over a local transport, join it, and report
-    /// what happened. `Err` from this function is a non-retryable setup
-    /// failure.
-    #[allow(clippy::too_many_arguments)]
-    fn run_attempt(
-        &self,
-        plan: &PhysicalPlan,
-        sources: &[Arc<dyn SourceFactory>],
-        injector: Option<FaultInjector>,
-        restore: &HashMap<usize, Vec<u8>>,
-        emitted_counters: &Arc<Vec<AtomicU64>>,
-        start: Instant,
-        tel: Option<&RunTelemetry>,
-        restarted: bool,
-    ) -> Result<Attempt> {
-        let n = plan.instance_count();
-        let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Envelope>(self.config.run.frame_capacity());
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let transport = LocalTransport::new(senders);
-        // Per-attempt report channels; unbounded so post-join draining
-        // can never block a worker.
-        let (sink_tx, sink_rx) = unbounded::<(usize, SinkState)>();
-        let (stats_tx, stats_rx) = unbounded::<(usize, u64, u64, u64, u64)>();
-        let (coord_tx, coord_rx) = unbounded::<(u64, usize, Vec<u8>)>();
-        let reporters = Reporters {
-            coord_tx,
-            sink_tx,
-            stats_tx,
-        };
-        let settings = ExecSettings {
-            run: self.config.run.clone(),
-            exactly_once: self.config.mode == DeliveryMode::ExactlyOnce,
-            ckpt_interval: self.config.checkpoint_interval_tuples,
-        };
-
-        let handles = spawn_instances(
-            plan,
-            sources,
-            None,
-            &transport,
-            &mut receivers,
-            &settings,
-            injector,
-            restore,
-            emitted_counters,
-            RunClock::Local(start),
-            &reporters,
-            tel,
-            restarted,
-        )?;
-        drop(reporters);
-        drop(transport);
-
-        let outcome = match join_instances(handles, tel) {
-            Some(e) => Err(e),
-            None => Ok(()),
-        };
-        Ok(Attempt {
-            outcome,
-            new_parts: coord_rx.iter().collect(),
-            sink_states: sink_rx.iter().collect(),
-            op_stats: stats_rx.iter().collect(),
-        })
     }
 }
 

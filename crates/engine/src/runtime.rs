@@ -1,24 +1,23 @@
-//! Multi-threaded execution of physical plans.
+//! The threaded backend: the public run types and [`ThreadedRuntime`].
 //!
 //! Every physical instance runs as an OS thread connected by bounded
 //! crossbeam channels (the engine's backpressure). Sources stamp `emit_ns`
 //! on each tuple; sinks compute end-to-end latency on delivery — the
 //! paper's end-to-end latency definition (source production to sink
-//! delivery, §4 Metrics).
+//! delivery, §4 Metrics). The worker loops are the execution core in
+//! `crate::exec`, shared with the fault-tolerant and distributed backends;
+//! `ThreadedRuntime` runs them once with checkpoint barriers off.
 
-use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
-use crate::exec::{RunClock, SourceFeed};
-use crate::message::{Message, WatermarkTracker};
-use crate::operator::OpKind;
-use crate::physical::{PhysicalPlan, RouterState};
-use crate::pressure::{OverloadConfig, PressureGauge, PressureLevel, Shedder};
-use crate::telemetry::Probe;
-use crate::transport::{LocalTransport, Transport};
+use crate::exec::{assemble, run_local_attempt, ExecSettings};
+use crate::message::Message;
+use crate::physical::PhysicalPlan;
+use crate::pressure::OverloadConfig;
 use crate::value::Tuple;
-use crossbeam_channel::{bounded, Receiver, Sender};
-use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
+use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -238,7 +237,9 @@ impl RunResult {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One frame on an instance's input queue, tagged with the input-channel
+/// slot it arrived on (for watermark and barrier bookkeeping).
+#[derive(Debug, Clone)]
 pub(crate) struct Envelope {
     pub(crate) channel: usize,
     pub(crate) msg: Message,
@@ -278,6 +279,8 @@ impl ThreadedRuntime {
         self.run_inner(plan, sources, Some(tel))
     }
 
+    /// One attempt of the shared execution core with barriers off: no
+    /// checkpoint, no injector, nothing to restore.
     fn run_inner(
         &self,
         plan: &PhysicalPlan,
@@ -285,563 +288,30 @@ impl ThreadedRuntime {
         tel: Option<&RunTelemetry>,
     ) -> Result<RunResult> {
         self.config.validate()?;
-        let source_nodes = plan.logical.sources();
-        if sources.len() != source_nodes.len() {
-            return Err(EngineError::Execution(format!(
-                "plan has {} source nodes but {} source factories were supplied",
-                source_nodes.len(),
-                sources.len()
-            )));
-        }
-
         let n = plan.instance_count();
-        // Channels: one mpsc queue per instance; envelopes carry the input
-        // channel slot for watermark bookkeeping. The senders live behind
-        // the transport abstraction — this runtime is the `local`
-        // instantiation of it.
-        let mut senders: Vec<Sender<Envelope>> = Vec::with_capacity(n);
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<Envelope>(self.config.frame_capacity());
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let transport = LocalTransport::new(senders);
-        // Sink results flow back over a dedicated channel.
-        let (sink_tx, sink_rx) = bounded::<(Vec<Tuple>, Vec<u64>, u64)>(n.max(4));
-        // Source input counts.
-        let (count_tx, count_rx) = bounded::<u64>(n.max(4));
-        // Per-instance operator counters: (logical node, in, out, shed, late).
-        let (stats_tx, stats_rx) = bounded::<(usize, u64, u64, u64, u64)>(n.max(4));
-
         if let Some(t) = tel {
             t.recorder
                 .record(FlightEventKind::RunStarted, 0, 0, format!("{n} instances"));
         }
-
         let start = Instant::now();
-        let mut handles = Vec::with_capacity(n);
-
-        for inst in &plan.instances {
-            let node = &plan.logical.nodes[inst.node];
-            let probe = Probe::for_instance(tel, inst.id, inst.node, inst.index).with_trace(
-                tel,
-                &node.name,
-                RunClock::Local(start),
-            );
-            let routes = plan.out_routes[inst.id].clone();
-            let downstream = transport.downstream_for(&routes)?;
-            let route_meta = routes;
-
-            match &node.kind {
-                OpKind::Source { .. } => {
-                    let factory = {
-                        let src_pos = source_nodes
-                            .iter()
-                            .position(|&s| s == inst.node)
-                            .ok_or_else(|| {
-                                EngineError::Execution(format!(
-                                    "instance {} references node {} which is not a source",
-                                    inst.id, inst.node
-                                ))
-                            })?;
-                        Arc::clone(&sources[src_pos])
-                    };
-                    let parallelism = node.parallelism;
-                    let index = inst.index;
-                    let wm_interval = self.config.watermark_interval.max(1);
-                    let lateness = self.config.watermark_lateness_ms;
-                    let batch_size = self.config.batch_size;
-                    let count_tx = count_tx.clone();
-                    let stats_tx_src = stats_tx.clone();
-                    let lnode = inst.node;
-                    let worker = std::thread::spawn(move || -> Result<()> {
-                        let mut router = RouterState::new(route_meta.len());
-                        let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
-                        let mut max_et = i64::MIN;
-                        let mut emitted: u64 = 0;
-                        let feed = SourceFeed::spawn(
-                            factory,
-                            index,
-                            parallelism,
-                            0,
-                            RunClock::Local(start),
-                            batch_size,
-                        );
-                        while let Some(tuple) =
-                            batcher.next_input(&feed.rx, &route_meta, &downstream, &probe)?
-                        {
-                            max_et = max_et.max(tuple.event_time);
-                            // Head sampling: every Nth tuple of each source
-                            // instance roots a trace; the frames carrying it
-                            // downstream inherit the context.
-                            let traced = probe.trace_sample(emitted);
-                            emitted += 1;
-                            probe.tuples_out(1);
-                            if traced {
-                                let ctx = probe.trace_source(tuple.emit_ns);
-                                batcher.set_active_trace(ctx.map(|c| (c, tuple.emit_ns)));
-                            }
-                            batcher.scatter(
-                                &route_meta,
-                                &downstream,
-                                &mut router,
-                                &probe,
-                                tuple,
-                            )?;
-                            if traced {
-                                batcher.set_active_trace(None);
-                            }
-                            if emitted.is_multiple_of(wm_interval as u64) {
-                                let wm = max_et.saturating_sub(lateness);
-                                batcher.flush_then_broadcast(
-                                    &route_meta,
-                                    &downstream,
-                                    &probe,
-                                    Message::Watermark(wm),
-                                    FlushReason::Marker,
-                                )?;
-                            }
-                        }
-                        feed.finish();
-                        batcher.flush_then_broadcast(
-                            &route_meta,
-                            &downstream,
-                            &probe,
-                            Message::Eos,
-                            FlushReason::Eos,
-                        )?;
-                        let _ = count_tx.send(emitted);
-                        let _ = stats_tx_src.send((lnode, emitted, emitted, 0, 0));
-                        Ok(())
-                    });
-                    handles.push((inst.node, inst.index, worker));
-                }
-                OpKind::Sink => {
-                    let rx = take_receiver(&mut receivers, inst.id)?;
-                    let channels = plan.input_channel_count[inst.id];
-                    let sink_tx = sink_tx.clone();
-                    let stats_tx_sink = stats_tx.clone();
-                    let lnode = inst.node;
-                    let capture_limit = self.config.capture_limit;
-                    let worker = std::thread::spawn(move || -> Result<()> {
-                        let mut captured = Vec::new();
-                        let mut latencies = Vec::new();
-                        let mut total: u64 = 0;
-                        let mut closed = 0usize;
-                        while closed < channels {
-                            let wait = probe.now_if();
-                            let Ok(env) = rx.recv() else { break };
-                            let work = probe.mark_idle(wait);
-                            if probe.enabled() {
-                                probe.queue_depth(rx.len());
-                            }
-                            // A frame's tuples all arrive at one instant, so
-                            // delivery time is stamped once per frame.
-                            let deliver =
-                                |t: Tuple,
-                                 now: u64,
-                                 captured: &mut Vec<Tuple>,
-                                 latencies: &mut Vec<u64>,
-                                 total: &mut u64| {
-                                    let latency = now.saturating_sub(t.emit_ns);
-                                    latencies.push(latency);
-                                    probe.latency_ns(latency);
-                                    *total += 1;
-                                    if captured.len() < capture_limit {
-                                        captured.push(t);
-                                    }
-                                };
-                            match env.msg {
-                                Message::Data(t) => {
-                                    let now = start.elapsed().as_nanos() as u64;
-                                    probe.tuples_in(1);
-                                    deliver(t, now, &mut captured, &mut latencies, &mut total)
-                                }
-                                Message::Batch(b) => {
-                                    let now = start.elapsed().as_nanos() as u64;
-                                    probe.tuples_in(b.len() as u64);
-                                    // Queue span: sender flush → sink dequeue.
-                                    let tctx = b.trace.map(|ft| {
-                                        probe.trace_span(ft.ctx, SpanKind::Queue, ft.sent_ns, now)
-                                    });
-                                    if let Some(c) = tctx {
-                                        probe.trace_active(Some(c));
-                                    }
-                                    for t in b.tuples {
-                                        deliver(t, now, &mut captured, &mut latencies, &mut total);
-                                    }
-                                    if let Some(ctx) = tctx {
-                                        // Deliver span closes the trace at the
-                                        // sink; its end is the trace's
-                                        // end-to-end boundary.
-                                        probe.trace_span(
-                                            ctx,
-                                            SpanKind::Deliver,
-                                            now,
-                                            probe.trace_now(),
-                                        );
-                                    }
-                                }
-                                // The plain runtime never injects barriers;
-                                // the fault-tolerant runtime has its own
-                                // sink loop that aligns them.
-                                Message::Watermark(_) | Message::Barrier(_) => {}
-                                Message::Eos => closed += 1,
-                            }
-                            probe.mark_busy(work);
-                        }
-                        let _ = sink_tx.send((captured, latencies, total));
-                        let _ = stats_tx_sink.send((lnode, total, 0, 0, 0));
-                        Ok(())
-                    });
-                    handles.push((inst.node, inst.index, worker));
-                }
-                kind => {
-                    let mut op = kind.instantiate();
-                    if self.config.overload.allowed_lateness_ms > 0 {
-                        op.set_allowed_lateness(self.config.overload.allowed_lateness_ms);
-                    }
-                    let rx = take_receiver(&mut receivers, inst.id)?;
-                    let channels = plan.input_channel_count[inst.id];
-                    let ports = plan.channel_ports[inst.id].clone();
-                    let name = node.name.clone();
-                    let batch_size = self.config.batch_size;
-                    let overload = self.config.overload.clone();
-                    let gauge = overload
-                        .enabled
-                        .then(|| PressureGauge::new(&overload, self.config.frame_capacity()));
-                    let mut shedder =
-                        Shedder::new(overload.shed_policy.clone(), overload.seed, inst.id as u64);
-                    let stats_tx_op = stats_tx.clone();
-                    let lnode = inst.node;
-                    let worker = std::thread::spawn(move || -> Result<()> {
-                        let mut router = RouterState::new(route_meta.len());
-                        let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
-                        let mut tracker = WatermarkTracker::new(channels);
-                        let mut out = Vec::new();
-                        let mut closed = 0usize;
-                        let (mut n_in, mut n_out, mut n_shed) = (0u64, 0u64, 0u64);
-                        let mut shed_fraction = 0.0f64;
-                        // Context of the last traced frame absorbed by a
-                        // windowed operator, consumed when a later pane fire
-                        // emits results (the trace crosses the window).
-                        let mut window_ctx: Option<TraceContext> = None;
-                        while closed < channels {
-                            let wait = probe.now_if();
-                            let Some(env) =
-                                batcher.next_input(&rx, &route_meta, &downstream, &probe)?
-                            else {
-                                return Err(EngineError::Execution(format!(
-                                    "operator '{name}' lost its input channels"
-                                )));
-                            };
-                            let work = probe.mark_idle(wait);
-                            let depth = rx.len();
-                            if probe.enabled() {
-                                probe.queue_depth(depth);
-                            }
-                            if let Some(g) = &gauge {
-                                // Escalation ladder: rung from the bounded
-                                // input queue's occupancy.
-                                let level = g.level(depth);
-                                probe.pressure(level as u64);
-                                match level {
-                                    PressureLevel::Normal => {
-                                        batcher.set_max(batch_size);
-                                        shed_fraction = 0.0;
-                                    }
-                                    PressureLevel::Batch => {
-                                        batcher.set_max(batch_size * overload.batch_growth);
-                                        shed_fraction = 0.0;
-                                    }
-                                    PressureLevel::Shed => {
-                                        batcher.set_max(batch_size * overload.batch_growth);
-                                        shed_fraction = g.shed_fraction(depth);
-                                    }
-                                }
-                            }
-                            match env.msg {
-                                Message::Data(t) => {
-                                    n_in += 1;
-                                    probe.tuples_in(1);
-                                    if shed_fraction > 0.0
-                                        && shedder.should_shed(shed_fraction, &t, 0, 1)
-                                    {
-                                        n_shed += 1;
-                                        probe.shed(1);
-                                        probe.mark_busy(work);
-                                        continue;
-                                    }
-                                    out.clear();
-                                    op.on_tuple(ports[env.channel], t, &mut out)?;
-                                    n_out += out.len() as u64;
-                                    probe.tuples_out(out.len() as u64);
-                                    for t in out.drain(..) {
-                                        batcher.scatter(
-                                            &route_meta,
-                                            &downstream,
-                                            &mut router,
-                                            &probe,
-                                            t,
-                                        )?;
-                                    }
-                                }
-                                Message::Batch(b) => {
-                                    let ftrace = b.trace;
-                                    let t_deq = if ftrace.is_some() {
-                                        probe.trace_now()
-                                    } else {
-                                        0
-                                    };
-                                    n_in += b.len() as u64;
-                                    probe.tuples_in(b.len() as u64);
-                                    let tuples = if shed_fraction > 0.0 {
-                                        let frame_len = b.tuples.len();
-                                        let mut kept = Vec::with_capacity(frame_len);
-                                        let mut dropped = 0u64;
-                                        for (i, t) in b.tuples.into_iter().enumerate() {
-                                            if shedder.should_shed(shed_fraction, &t, i, frame_len)
-                                            {
-                                                dropped += 1;
-                                            } else {
-                                                kept.push(t);
-                                            }
-                                        }
-                                        n_shed += dropped;
-                                        probe.shed(dropped);
-                                        kept
-                                    } else {
-                                        b.tuples
-                                    };
-                                    out.clear();
-                                    op.on_batch(ports[env.channel], tuples, &mut out)?;
-                                    n_out += out.len() as u64;
-                                    probe.tuples_out(out.len() as u64);
-                                    // Queue span: sender flush → dequeue here;
-                                    // Process span: dequeue → outputs ready.
-                                    let out_ctx = ftrace.map(|ft| {
-                                        let ctx = probe.trace_span(
-                                            ft.ctx,
-                                            SpanKind::Queue,
-                                            ft.sent_ns,
-                                            t_deq,
-                                        );
-                                        let done = probe.trace_now();
-                                        (
-                                            probe.trace_span(ctx, SpanKind::Process, t_deq, done),
-                                            done,
-                                        )
-                                    });
-                                    if let Some((c, _)) = out_ctx {
-                                        probe.trace_active(Some(c));
-                                        window_ctx = Some(c);
-                                    }
-                                    batcher.set_active_trace(out_ctx);
-                                    for t in out.drain(..) {
-                                        batcher.scatter(
-                                            &route_meta,
-                                            &downstream,
-                                            &mut router,
-                                            &probe,
-                                            t,
-                                        )?;
-                                    }
-                                    batcher.set_active_trace(None);
-                                }
-                                Message::Watermark(wm) => {
-                                    if let Some(w) = tracker.observe(env.channel, wm) {
-                                        out.clear();
-                                        op.on_watermark(w, &mut out);
-                                        n_out += out.len() as u64;
-                                        probe.tuples_out(out.len() as u64);
-                                        if !out.is_empty() {
-                                            probe.event(
-                                                FlightEventKind::PaneFired,
-                                                format!("watermark {w}: {} results", out.len()),
-                                            );
-                                        }
-                                        // Pane results continue the trace of
-                                        // the last traced frame the window
-                                        // absorbed (buffered-from = now: the
-                                        // window residency shows up as a gap
-                                        // segment, not a batch span).
-                                        let wctx = if out.is_empty() {
-                                            None
-                                        } else {
-                                            window_ctx.take()
-                                        };
-                                        batcher
-                                            .set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                                        for t in out.drain(..) {
-                                            batcher.scatter(
-                                                &route_meta,
-                                                &downstream,
-                                                &mut router,
-                                                &probe,
-                                                t,
-                                            )?;
-                                        }
-                                        batcher.set_active_trace(None);
-                                        batcher.flush_then_broadcast(
-                                            &route_meta,
-                                            &downstream,
-                                            &probe,
-                                            Message::Watermark(w),
-                                            FlushReason::Marker,
-                                        )?;
-                                    }
-                                }
-                                // Barriers only circulate under the
-                                // fault-tolerant runtime.
-                                Message::Barrier(_) => {}
-                                Message::Eos => {
-                                    closed += 1;
-                                    if let Some(w) = tracker.close_channel(env.channel) {
-                                        if closed < channels {
-                                            out.clear();
-                                            op.on_watermark(w, &mut out);
-                                            n_out += out.len() as u64;
-                                            probe.tuples_out(out.len() as u64);
-                                            let wctx = if out.is_empty() {
-                                                None
-                                            } else {
-                                                window_ctx.take()
-                                            };
-                                            batcher.set_active_trace(
-                                                wctx.map(|c| (c, probe.trace_now())),
-                                            );
-                                            for t in out.drain(..) {
-                                                batcher.scatter(
-                                                    &route_meta,
-                                                    &downstream,
-                                                    &mut router,
-                                                    &probe,
-                                                    t,
-                                                )?;
-                                            }
-                                            batcher.set_active_trace(None);
-                                        }
-                                    }
-                                }
-                            }
-                            if probe.enabled() {
-                                probe.window_state(op.panes_fired(), op.late_events());
-                            }
-                            probe.mark_busy(work);
-                        }
-                        out.clear();
-                        op.on_flush(&mut out);
-                        n_out += out.len() as u64;
-                        probe.tuples_out(out.len() as u64);
-                        let wctx = if out.is_empty() {
-                            None
-                        } else {
-                            window_ctx.take()
-                        };
-                        batcher.set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                        for t in out.drain(..) {
-                            batcher.scatter(&route_meta, &downstream, &mut router, &probe, t)?;
-                        }
-                        batcher.set_active_trace(None);
-                        if probe.enabled() {
-                            probe.window_state(op.panes_fired(), op.late_events());
-                        }
-                        batcher.flush_then_broadcast(
-                            &route_meta,
-                            &downstream,
-                            &probe,
-                            Message::Eos,
-                            FlushReason::Eos,
-                        )?;
-                        // The queue is drained: report the gauge at rest so
-                        // post-run alarm evaluation sees recovery, not the
-                        // last mid-storm level.
-                        probe.pressure(PressureLevel::Normal as u64);
-                        let _ = stats_tx_op.send((lnode, n_in, n_out, n_shed, op.late_events()));
-                        Ok(())
-                    });
-                    handles.push((inst.node, inst.index, worker));
-                }
-            }
-        }
-        // Drop our copies so receivers see disconnects if a worker dies.
-        drop(sink_tx);
-        drop(count_tx);
-        drop(stats_tx);
-        drop(transport);
-
-        let mut result = RunResult {
-            sink_tuples: Vec::new(),
-            latencies_ns: Vec::new(),
-            tuples_out: 0,
-            tuples_in: 0,
-            elapsed: Duration::ZERO,
-            operator_stats: plan
-                .logical
-                .nodes
-                .iter()
-                .map(|n| OperatorStats {
-                    node: n.id,
-                    name: n.name.clone(),
-                    tuples_in: 0,
-                    tuples_out: 0,
-                    shed: 0,
-                    late: 0,
-                })
-                .collect(),
+        let settings = ExecSettings {
+            run: self.config.clone(),
+            exactly_once: false,
+            ckpt_interval: 0,
         };
-        for (captured, lats, total) in sink_rx.iter() {
-            let room =
-                self.config.capture_limit - result.sink_tuples.len().min(self.config.capture_limit);
-            result.sink_tuples.extend(captured.into_iter().take(room));
-            result.latencies_ns.extend(lats);
-            result.tuples_out += total;
-        }
-        for c in count_rx.iter() {
-            result.tuples_in += c;
-        }
-        for (node, n_in, n_out, n_shed, n_late) in stats_rx.iter() {
-            let s = &mut result.operator_stats[node];
-            s.tuples_in += n_in;
-            s.tuples_out += n_out;
-            s.shed += n_shed;
-            s.late += n_late;
-        }
-
-        let mut errors: Vec<EngineError> = Vec::new();
-        for (node, instance, h) in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if let Some(t) = tel {
-                        let kind = match &e {
-                            EngineError::FaultInjected { .. } => FlightEventKind::FaultInjected,
-                            _ => FlightEventKind::WorkerFailed,
-                        };
-                        t.recorder.record(kind, node, instance, e.to_string());
-                    }
-                    errors.push(e);
-                }
-                Err(payload) => {
-                    let cause = panic_cause(&*payload);
-                    if let Some(t) = tel {
-                        t.recorder.record(
-                            FlightEventKind::WorkerPanicked,
-                            node,
-                            instance,
-                            cause.clone(),
-                        );
-                    }
-                    errors.push(EngineError::WorkerPanicked {
-                        node,
-                        instance,
-                        cause,
-                    });
-                }
-            }
-        }
-        if let Some(e) = pick_root_error(errors) {
+        let emitted: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
+        let attempt = run_local_attempt(
+            plan,
+            sources,
+            &settings,
+            None,
+            &HashMap::new(),
+            &emitted,
+            start,
+            tel,
+            false,
+        )?;
+        if let Err(e) = attempt.outcome {
             if let Some(t) = tel {
                 if t.config.dump_on_error {
                     t.recorder.dump_to_stderr(&e.to_string());
@@ -849,6 +319,14 @@ impl ThreadedRuntime {
             }
             return Err(e);
         }
+        let result = assemble(
+            plan,
+            self.config.capture_limit,
+            attempt.sink_states,
+            &attempt.op_stats,
+            &attempt.offsets,
+            start,
+        );
         if let Some(t) = tel {
             t.recorder.record(
                 FlightEventKind::RunFinished,
@@ -857,72 +335,8 @@ impl ThreadedRuntime {
                 format!("{} tuples delivered", result.tuples_out),
             );
         }
-        result.elapsed = start.elapsed();
         Ok(result)
     }
-}
-
-/// One worker dying tears down its neighbours through channel disconnects,
-/// so several workers usually fail at once. The panic or injected fault
-/// that started the cascade is the root cause; generic channel-disconnect
-/// `Execution` errors are downstream symptoms and rank last.
-pub(crate) fn pick_root_error(errors: Vec<EngineError>) -> Option<EngineError> {
-    fn rank(e: &EngineError) -> u8 {
-        match e {
-            EngineError::WorkerPanicked { .. } | EngineError::FaultInjected { .. } => 0,
-            EngineError::Execution(_) => 2,
-            _ => 1,
-        }
-    }
-    errors.into_iter().fold(None, |best, e| match best {
-        None => Some(e),
-        Some(b) if rank(&e) < rank(&b) => Some(e),
-        Some(b) => Some(b),
-    })
-}
-
-/// Extract a human-readable message from a panic payload (the payloads
-/// `panic!` produces are `&str` or `String`; anything else is opaque).
-pub(crate) fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Take an instance's receiver out of the shared table exactly once.
-pub(crate) fn take_receiver(
-    receivers: &mut [Option<Receiver<Envelope>>],
-    id: usize,
-) -> Result<Receiver<Envelope>> {
-    receivers.get_mut(id).and_then(Option::take).ok_or_else(|| {
-        EngineError::Execution(format!(
-            "internal routing error: receiver for instance {id} missing or already taken"
-        ))
-    })
-}
-
-/// Send a control message (watermark, barrier, EOS) to every downstream
-/// target of every route. Data never travels this way — it goes through the
-/// [`EdgeBatcher`], which flushes pending batches *before* any marker is
-/// broadcast so channel order is preserved.
-pub(crate) fn broadcast(
-    routes: &[crate::physical::OutRoute],
-    downstream: &[Vec<Sender<Envelope>>],
-    msg: Message,
-) -> Result<()> {
-    for (ri, route) in routes.iter().enumerate() {
-        for (i, target) in route.targets.iter().enumerate() {
-            downstream[ri][i]
-                .send(Envelope {
-                    channel: target.channel,
-                    msg: msg.clone(),
-                })
-                .map_err(|_| EngineError::Execution("downstream disconnected".into()))?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -931,6 +345,7 @@ mod tests {
     use crate::agg::AggFunc;
     use crate::builder::PlanBuilder;
     use crate::expr::{CmpOp, Predicate};
+    use crate::operator::OpKind;
     use crate::value::{FieldType, Schema, Value};
     use crate::window::WindowSpec;
 

@@ -13,6 +13,7 @@ use pdsp_engine::runtime::{RunConfig, RunResult, ThreadedRuntime};
 use pdsp_engine::testplan;
 use pdsp_engine::{EngineError, Value};
 use pdsp_telemetry::AlarmKind;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 fn worker_bin() -> Vec<String> {
@@ -40,14 +41,76 @@ fn dist_config(run: RunConfig, workers: usize) -> DistributedConfig {
 
 /// Sink tuples as a sorted multiset of value rows.
 fn multiset(res: &RunResult) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = res.sink_tuples.iter().map(|t| t.values.clone()).collect();
-    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-    rows
+    sorted(res.sink_tuples.iter().map(|t| t.values.clone()).collect())
 }
 
 fn threaded_reference(seed: u64, tuples: u64, run: RunConfig) -> RunResult {
     let (plan, sources) = testplan::build(seed, tuples, 0).unwrap();
     ThreadedRuntime::new(run).run(&plan, &sources).unwrap()
+}
+
+/// Closed-form sink multiset of `testplan::build(seed, tuples, _)`, computed
+/// from the source stream alone, so it shares no code with any runtime.
+/// Seed 2's two filters pass every row: the sinks see the source multiset.
+/// Seeds 0 and 1 end in a keyed tumbling count window of N tuples: key k
+/// seen nₖ times fires ⌊nₖ/N⌋ windows, each over N copies of k's one value
+/// vₖ — so the aggregate is N·vₖ (seed 0, sum) or N (seed 1, count),
+/// whatever the arrival order. Rows of seeds 0 and 1 are `[key, aggregate]`.
+fn oracle(seed: u64, tuples: u64) -> Vec<Vec<Value>> {
+    let (_, sources) = testplan::build(seed, tuples, 0).unwrap();
+    let stream: Vec<Vec<Value>> = sources[0].instance_iter(0, 1).map(|t| t.values).collect();
+    let (n, sum) = match seed % 3 {
+        0 => (8, true),
+        1 => (16, false),
+        _ => return sorted(stream),
+    };
+    let mut keys: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
+    for row in &stream {
+        let [Value::Int(k), Value::Int(v)] = row[..] else {
+            panic!("seeded rows are (Int, Int): {row:?}");
+        };
+        let (count, value) = keys.entry(k).or_insert((0, v));
+        assert_eq!(*value, v, "the value column is a function of the key");
+        *count += 1;
+    }
+    let mut rows = Vec::new();
+    for (k, (count, v)) in keys {
+        let aggregate = if sum { n * v } else { n };
+        for _ in 0..count / n {
+            rows.push(vec![Value::Int(k), Value::Double(aggregate as f64)]);
+        }
+    }
+    sorted(rows)
+}
+
+fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    rows
+}
+
+/// The threaded reference shares its worker loops with the distributed
+/// workers, so it is itself checked against the oracle: a bug in the shared
+/// loops cannot hide behind a reference that has the same bug.
+#[test]
+fn threaded_reference_matches_the_closed_form_oracle() {
+    for seed in 0..3u64 {
+        let reference = threaded_reference(seed, 1024, RunConfig::default());
+        let rows: Vec<Vec<Value>> = reference
+            .sink_tuples
+            .iter()
+            .map(|t| match seed {
+                2 => t.values.clone(),
+                // `WindowAggInstance::emit`: key, window end, aggregate.
+                _ => match &t.values[..] {
+                    [key, Value::Timestamp(_), agg] => vec![key.clone(), agg.clone()],
+                    other => panic!("seed {seed}: unexpected window row {other:?}"),
+                },
+            })
+            .collect();
+        assert_eq!(reference.tuples_in, 1024, "seed {seed}");
+        assert_eq!(reference.tuples_out, rows.len() as u64, "seed {seed}");
+        assert_eq!(sorted(rows), oracle(seed, 1024), "seed {seed}");
+    }
 }
 
 /// Seeded plans × batch sizes, no faults: the distributed backend is an
