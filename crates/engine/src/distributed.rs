@@ -40,9 +40,9 @@
 //!   worker dead when its lease lapses. A SIGKILLed process cannot renew,
 //!   so real process death is detected with no in-band signal.
 //! * **Checkpoints over the wire** — Chandy–Lamport barriers flow through
-//!   the TCP mesh exactly as they flow through local channels; every
-//!   checkpoint part is streamed to the coordinator the moment it is taken,
-//!   so parts survive a later SIGKILL of the worker that produced them.
+//!   the TCP mesh exactly as they flow through local channels; checkpoint
+//!   parts and sink delivery deltas stream to the coordinator as they are
+//!   made, so they survive a later SIGKILL of the worker that made them.
 //! * **Supervised restart** — on failure the coordinator kills the
 //!   remaining worker processes, restores the newest complete checkpoint,
 //!   respawns a fresh process fleet, and replays sources from their
@@ -59,18 +59,18 @@
 //! through `read_exact`/`write_all`, so half-open peers and partial writes
 //! can never tear a frame.
 //!
-//! ## Known at-least-once limitation
+//! ## What a SIGKILL loses
 //!
-//! A SIGKILLed worker takes its un-checkpointed sink partials with it: under
-//! at-least-once, deliveries made between the restored checkpoint and the
-//! kill on *that worker's* sinks are genuinely lost from the result capture
-//! (they were delivered, but nobody survived to report them). Exactly-once
-//! is unaffected — sinks rewind to the checkpoint and replay re-delivers.
+//! Only the delivery deltas its worker had not yet forwarded, and with them
+//! every later part of their sinks, so those deliveries came after any
+//! checkpoint the coordinator can restore and replay delivers them again.
+//! The ledger never rolls a sink back past its log; only the duplicate /
+//! rolled-back accounting falls back on a heartbeat estimate.
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    assemble, join_instances, spawn_instances, ExecSettings, InstanceStats, Reporters, RunClock,
-    SinkState,
+    assemble, join_instances, spawn_instances, ExecSettings, InstanceStats, Report, Reporters,
+    RunClock,
 };
 use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RestartLedger};
 use crate::message::Message;
@@ -245,22 +245,16 @@ struct WireEnvelope {
 }
 
 /// Worker → coordinator control messages.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 enum ToCoord {
     /// First message on a control connection: who I am, where my data
     /// listener is.
     Hello { worker: usize, data_addr: String },
     /// Deployment resolved, mesh built, data listener armed.
     Ready { worker: usize },
-    /// A checkpoint part, streamed the moment it is taken so it survives a
-    /// later SIGKILL of this worker.
-    Part {
-        worker: usize,
-        ckpt: u64,
-        instance: usize,
-        bytes: Vec<u8>,
-    },
+    /// A checkpoint part or sink delta, streamed in order as it is made so
+    /// it survives a later SIGKILL of this worker.
+    Report { worker: usize, report: Report },
     /// Periodic liveness + progress: source offsets, per-attempt sink
     /// deliveries, and telemetry snapshots for the instances placed here.
     Heartbeat {
@@ -273,18 +267,13 @@ enum ToCoord {
     Done {
         worker: usize,
         stats: Vec<InstanceStats>,
-        sinks: Vec<(usize, SinkState)>,
         emitted: Vec<(usize, u64)>,
         /// Spans recorded on this worker (empty when tracing is off),
         /// drained after every local instance and wire thread joined.
         spans: Vec<Span>,
     },
-    /// A local instance failed; partial sink states attached.
-    Failed {
-        worker: usize,
-        error: String,
-        sinks: Vec<(usize, SinkState)>,
-    },
+    /// A local instance failed.
+    Failed { worker: usize, error: String },
 }
 
 /// Coordinator → worker control messages. `Deploy` is boxed: it carries the
@@ -757,19 +746,17 @@ impl WorkerMain {
 
         let (reporters, reports) = Reporters::unbounded();
 
-        // Checkpoint parts leave the process the moment they are taken:
+        // Parts and sink deltas leave the process in order as they are made:
         // they must survive a SIGKILL that lands after the barrier.
-        let part_forwarder = {
+        let forwarder = {
             let writer = Arc::clone(&writer);
             std::thread::spawn(move || {
-                for (ckpt, instance, bytes) in reports.parts.iter() {
-                    let msg = ToCoord::Part {
+                for report in reports.coord.iter() {
+                    let msg = ToCoord::Report {
                         worker: worker_id,
-                        ckpt,
-                        instance,
-                        bytes,
+                        report,
                     };
-                    // Parts are the bulk traffic on the control stream;
+                    // Reports are the bulk traffic on the control stream;
                     // encode outside the lock or the heartbeat thread
                     // starves behind every barrier (checkpoints are
                     // barrier-aligned, so all workers would go silent at
@@ -878,74 +865,56 @@ impl WorkerMain {
         drop(reporters);
         drop(transport);
 
-        let outcome = join_instances(handles, Some(&tel));
-        match outcome {
-            None => {
-                // Success. Join the data plane down in dependency order:
-                // forwarders first (all frames on the wire), then our
-                // outbound streams (peers see EOF), then the acceptor
-                // (peers closed towards us). Exiting before the forwarders
-                // drain would tear frames at the peers.
-                for f in forwarders {
-                    let _ = f.join();
-                }
-                let _ = acceptor.join();
-                let _ = part_forwarder.join();
-                // The heartbeat keeps beating through the joins above: the
-                // acceptor join waits on *peers* closing their streams, so a
-                // worker that went silent while waiting on a slower peer
-                // would trip the coordinator's gap alarm on healthy runs.
-                stop.store(true, Ordering::SeqCst);
-                let _ = heartbeat.join();
-                if let Some(c) = chaos {
-                    let _ = c.join();
-                }
-                // The acceptor has joined, so every inbound frame has been
-                // observed: a clean run with mismatched wire tuples is
-                // still a failure under --check-schemas.
-                if let Some(e) = wire_check.as_ref().and_then(|c| c.to_error(worker_id)) {
-                    let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
-                    let failed = ToCoord::Failed {
-                        worker: worker_id,
-                        error: e.to_string(),
-                        sinks,
-                    };
-                    let _ = send_json(&mut *writer.lock(), &failed);
-                    return Err(e);
-                }
-                let stats: Vec<InstanceStats> = reports.stats.iter().collect();
-                let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
-                // Every span writer (instance threads, acceptor readers) has
-                // joined above, so the drain observes all recorded spans.
-                let spans = tel.trace.as_ref().map(|b| b.drain()).unwrap_or_default();
-                let done = ToCoord::Done {
-                    worker: worker_id,
-                    stats,
-                    sinks,
-                    emitted: my_sources
-                        .iter()
-                        .map(|&i| (i, emitted[i].load(Ordering::SeqCst)))
-                        .collect(),
-                    spans,
-                };
-                send_json(&mut *writer.lock(), &done).map_err(|e| io_err("send done", e))?;
-                Ok(())
+        // A failed worker leaves the data plane alone: peers may be hung or
+        // dead, so joining it could block; the coordinator kills the whole
+        // fleet after every attempt.
+        let failure = join_instances(handles, Some(&tel)).or_else(|| {
+            // Success. Join the data plane down in dependency order:
+            // forwarders first (all frames on the wire), then our outbound
+            // streams (peers see EOF), then the acceptor (peers closed
+            // towards us). Exiting before the forwarders drain would tear
+            // frames at the peers.
+            for f in forwarders {
+                let _ = f.join();
             }
-            Some(e) => {
-                // Failure: report what we have and get out. Peers may be
-                // hung or dead, so joining the data plane could block; the
-                // coordinator kills the whole fleet after every attempt.
-                stop.store(true, Ordering::SeqCst);
-                let sinks: Vec<(usize, SinkState)> = reports.sinks.iter().collect();
-                let failed = ToCoord::Failed {
-                    worker: worker_id,
-                    error: e.to_string(),
-                    sinks,
-                };
-                let _ = send_json(&mut *writer.lock(), &failed);
-                Err(e)
-            }
+            let _ = acceptor.join();
+            // The acceptor has joined, so every inbound frame has been
+            // observed: a clean run with mismatched wire tuples is still a
+            // failure under --check-schemas.
+            wire_check.as_ref().and_then(|c| c.to_error(worker_id))
+        });
+        // Every report is on the control stream before Done or Failed. The
+        // heartbeat keeps beating until then: the acceptor join waits on
+        // *peers* closing their streams and the forwarder may be draining a
+        // backlog, and a worker silent meanwhile would trip the
+        // coordinator's gap alarm on healthy runs.
+        let _ = forwarder.join();
+        stop.store(true, Ordering::SeqCst);
+        let _ = heartbeat.join();
+        if let Some(c) = chaos {
+            let _ = c.join();
         }
+        if let Some(e) = failure {
+            let failed = ToCoord::Failed {
+                worker: worker_id,
+                error: e.to_string(),
+            };
+            let _ = send_json(&mut *writer.lock(), &failed);
+            return Err(e);
+        }
+        // Every span writer (instance threads, acceptor readers) has joined
+        // above, so the drain observes all recorded spans.
+        let done = ToCoord::Done {
+            worker: worker_id,
+            stats: reports.stats.iter().collect(),
+            emitted: my_sources
+                .iter()
+                .map(|&i| (i, emitted[i].load(Ordering::SeqCst)))
+                .collect(),
+            spans: tel.trace.as_ref().map(|b| b.drain()).unwrap_or_default(),
+        };
+        send_json(&mut *writer.lock(), &done).map_err(|e| io_err("send done", e))?;
+        Ok(())
     }
 }
 
@@ -954,7 +923,6 @@ impl WorkerMain {
 // ---------------------------------------------------------------------------
 
 /// What one coordinator event-loop iteration received.
-#[allow(clippy::large_enum_variant)]
 enum Event {
     /// A control message from a worker. `writer` rides along on the first
     /// message of a connection (the Hello) so the coordinator can talk back.
@@ -968,11 +936,12 @@ enum Event {
 }
 
 /// Everything one distributed attempt reported.
+#[derive(Default)]
 struct DistAttempt {
-    outcome: std::result::Result<(), EngineError>,
-    new_parts: Vec<(u64, usize, Vec<u8>)>,
-    /// Final (on success) or failure-time partial sink states.
-    sink_states: HashMap<usize, SinkState>,
+    /// Root cause of a failed attempt (`None` = every worker done).
+    failure: Option<EngineError>,
+    /// Checkpoint parts and sink deltas, in each worker's order.
+    reports: Vec<Report>,
     op_stats: Vec<InstanceStats>,
     /// Best-known source offsets (heartbeats, then Done).
     emitted: HashMap<usize, u64>,
@@ -982,21 +951,6 @@ struct DistAttempt {
     snapshots: HashMap<usize, InstanceSnapshot>,
     /// Spans reported by workers in `Done` (tracing runs only).
     spans: Vec<Span>,
-}
-
-impl DistAttempt {
-    fn new() -> Self {
-        DistAttempt {
-            outcome: Ok(()),
-            new_parts: Vec::new(),
-            sink_states: HashMap::new(),
-            op_stats: Vec::new(),
-            emitted: HashMap::new(),
-            hb_sinks: HashMap::new(),
-            snapshots: HashMap::new(),
-            spans: Vec::new(),
-        }
-    }
 }
 
 /// Result of a distributed execution.
@@ -1090,6 +1044,8 @@ impl DistributedRuntime {
                 heartbeat_gap_intervals: gap_intervals,
                 ..AlarmConfig::default()
             });
+            // What this attempt's sinks resume from.
+            let resumed = ledger.delivered();
             let mut children = self.spawn_children(&addr, k)?;
             let att = self.drive_attempt(
                 gen,
@@ -1097,7 +1053,7 @@ impl DistributedRuntime {
                 &mut children,
                 spec,
                 &assignment,
-                ledger.restore(),
+                &ledger.restore,
                 ledger.stats.attempts,
                 epoch_ns,
                 first.then_some(self.config.kill).flatten(),
@@ -1113,7 +1069,7 @@ impl DistributedRuntime {
                 let _ = c.wait();
             }
 
-            ledger.record_parts(att.new_parts);
+            ledger.record(att.reports);
             for (inst, v) in &att.emitted {
                 if let Some(e) = emitted_totals.get_mut(*inst) {
                     *e = (*e).max(*v);
@@ -1123,12 +1079,12 @@ impl DistributedRuntime {
                 last_snapshots.insert(inst, snap);
             }
 
-            let root = match att.outcome {
-                Ok(()) => {
+            let root = match att.failure {
+                None => {
                     let result = assemble(
                         &plan,
                         self.config.ft.run.capture_limit,
-                        att.sink_states,
+                        std::mem::take(&mut ledger.logs),
                         &att.op_stats,
                         &emitted_totals,
                         start,
@@ -1161,11 +1117,10 @@ impl DistributedRuntime {
                         spans,
                     });
                 }
-                Err(root) => root,
+                Some(root) => root,
             };
             let detected = Instant::now();
             let restarts_used = ledger.stats.attempts - 1;
-            let reported = ledger.record_partials(att.sink_states);
             if restarts_used >= self.config.ft.restart.max_restarts {
                 if tel.config.dump_on_error {
                     tel.recorder.dump_to_stderr(&format!(
@@ -1177,11 +1132,12 @@ impl DistributedRuntime {
                     cause: root.to_string(),
                 });
             }
-            // Failure-time sink total: what workers reported in Failed, or —
-            // for SIGKILLed workers that reported nothing — the heartbeat
-            // estimate on top of what this attempt restored.
-            let estimated = ledger.restored_sink_total(&plan)? + att.hb_sinks.values().sum::<u64>();
-            let restored = ledger.restart(&plan, &emitted_totals, reported.max(estimated))?;
+            // A SIGKILL takes unsent deltas with it: heartbeats may know of
+            // more deliveries than the logs hold.
+            let at_failure = ledger
+                .delivered()
+                .max(resumed + att.hb_sinks.values().sum::<u64>());
+            let restored = ledger.restart(&plan, &emitted_totals, at_failure)?;
             tel.recorder.record(
                 FlightEventKind::RecoveryStarted,
                 0,
@@ -1257,9 +1213,9 @@ impl DistributedRuntime {
         alarms_observed: &mut Vec<Alarm>,
     ) -> DistAttempt {
         let k = children.len();
-        let mut att = DistAttempt::new();
+        let mut att = DistAttempt::default();
         let fail = |att: &mut DistAttempt, e: EngineError| {
-            att.outcome = Err(e);
+            att.failure = Some(e);
         };
 
         // Phase 1: gather Hellos (collecting control writers + data addrs).
@@ -1502,16 +1458,10 @@ impl DistributedRuntime {
                             att.snapshots.insert(inst, snap);
                         }
                     }
-                    ToCoord::Part {
-                        ckpt,
-                        instance,
-                        bytes,
-                        ..
-                    } => att.new_parts.push((ckpt, instance, bytes)),
+                    ToCoord::Report { report, .. } => att.reports.push(report),
                     ToCoord::Done {
                         worker,
                         stats,
-                        sinks,
                         emitted,
                         spans,
                     } => {
@@ -1520,15 +1470,11 @@ impl DistributedRuntime {
                         monitor.clear_heartbeat(worker);
                         att.spans.extend(spans);
                         att.op_stats.extend(stats);
-                        for (inst, st) in sinks {
-                            att.sink_states.insert(inst, st);
-                        }
                         for (inst, v) in emitted {
                             let e = att.emitted.entry(inst).or_insert(0);
                             *e = (*e).max(v);
                         }
                         if done.len() == k {
-                            att.outcome = Ok(());
                             break;
                         }
                         if let Some((worker, error)) = suspect.take() {
@@ -1545,14 +1491,7 @@ impl DistributedRuntime {
                             suspect = Some((worker, error));
                         }
                     }
-                    ToCoord::Failed {
-                        worker,
-                        error,
-                        sinks,
-                    } => {
-                        for (inst, st) in sinks {
-                            att.sink_states.insert(inst, st);
-                        }
+                    ToCoord::Failed { worker, error } => {
                         tel.recorder.record(
                             FlightEventKind::WorkerFailed,
                             0,
@@ -1600,20 +1539,15 @@ impl DistributedRuntime {
             }
         }
 
-        // Opportunistic drain: checkpoint parts already queued behind the
-        // break still count toward the restore point.
+        // Opportunistic drain: parts and deltas already queued behind the
+        // break still count toward the restore point and the sink logs.
         while let Ok(ev) = ev_rx.try_recv() {
             if let Event::Msg { gen: g, msg, .. } = ev {
                 if g != gen {
                     continue;
                 }
                 match msg {
-                    ToCoord::Part {
-                        ckpt,
-                        instance,
-                        bytes,
-                        ..
-                    } => att.new_parts.push((ckpt, instance, bytes)),
+                    ToCoord::Report { report, .. } => att.reports.push(report),
                     ToCoord::Heartbeat { emitted, .. } => {
                         for (inst, v) in emitted {
                             let e = att.emitted.entry(inst).or_insert(0);

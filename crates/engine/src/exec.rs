@@ -15,16 +15,16 @@
 //!
 //! The loops are transport-agnostic: downstream edges are plain
 //! `Sender<Envelope>` handed out by a [`Transport`], and everything an
-//! attempt reports — checkpoint parts, sink states, per-instance counters —
-//! flows through in-process reporter channels that the driver either drains
-//! locally or forwards over the wire. [`assemble`] turns what a successful
-//! attempt reported into the [`RunResult`] all three drivers return.
+//! attempt reports — checkpoint parts, sink deliveries, per-instance
+//! counters — flows through in-process reporter channels that the driver
+//! either drains locally or forwards over the wire. [`assemble`] turns the
+//! sink logs and counters into the [`RunResult`] all three drivers return.
 
 use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultInjector;
 use crate::message::{Message, WatermarkTracker};
-use crate::operator::{OpKind, OperatorInstance};
+use crate::operator::OpKind;
 use crate::physical::{PhysicalPlan, RouterState};
 use crate::pressure::{PressureGauge, PressureLevel, Shedder};
 use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
@@ -34,7 +34,7 @@ use crate::value::Tuple;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -70,13 +70,45 @@ impl RunClock {
     }
 }
 
-/// Sink-side state captured in checkpoints (and, at-least-once, carried
-/// across restarts from the failure-time partial).
+/// What a sink delivered, in delivery order: every delivery's latency and
+/// the rows among the first `capture_limit`. Sinks report it as deltas that
+/// the supervisor appends to one log per sink; it is never snapshotted.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub(crate) struct SinkState {
     pub(crate) captured: Vec<Tuple>,
     pub(crate) latencies: Vec<u64>,
-    pub(crate) total: u64,
+}
+
+impl SinkState {
+    /// Deliveries recorded.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.latencies.len() as u64
+    }
+
+    /// Cut the log back to its first `count` deliveries. A log shorter than
+    /// `count` cannot be reconciled with the checkpoint that counts it.
+    pub(crate) fn truncate(&mut self, count: u64) -> Result<()> {
+        if count > self.delivered() {
+            return Err(EngineError::Checkpoint(format!(
+                "sink log holds {} deliveries but its checkpoint counts {count}",
+                self.delivered()
+            )));
+        }
+        // Row i of `captured` is delivery i, so both cut at `count`.
+        self.latencies.truncate(count as usize);
+        self.captured.truncate(count as usize);
+        Ok(())
+    }
+}
+
+/// What an instance reports to its supervisor, in the order it happened: a
+/// sink's delta always precedes the checkpoint part that counts it.
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) enum Report {
+    /// `(checkpoint id, instance id, state bytes)`: one instance's part.
+    Part(u64, usize, Vec<u8>),
+    /// What sink instance `.0` delivered since its previous report.
+    Delivered(usize, SinkState),
 }
 
 /// Final counters of one finished instance, folded per logical node into
@@ -91,18 +123,19 @@ pub(crate) struct InstanceStats {
     pub(crate) late: u64,
 }
 
-/// Serialize a snapshot payload (checkpoint part, source offset, …).
-pub(crate) fn encode<T: Serialize>(value: &T, what: &str) -> Result<Vec<u8>> {
-    serde_json::to_string(value)
-        .map(String::into_bytes)
-        .map_err(|e| EngineError::Checkpoint(format!("{what} snapshot: {e}")))
+/// The checkpoint part of a source or a sink: its position — offset or
+/// delivered count — in decimal digits.
+pub(crate) fn encode_position(position: u64) -> Vec<u8> {
+    position.to_string().into_bytes()
 }
 
-/// Inverse of [`encode`].
-pub(crate) fn decode<T: serde::Deserialize>(bytes: &[u8], what: &str) -> Result<T> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| EngineError::Checkpoint(format!("{what} snapshot not utf-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| EngineError::Checkpoint(format!("{what} restore: {e}")))
+/// Inverse of [`encode_position`]; `0` without a snapshot.
+pub(crate) fn decode_position(bytes: Option<&Vec<u8>>, what: &str) -> Result<u64> {
+    bytes.map_or(Ok(0), |b| {
+        let text = String::from_utf8_lossy(b);
+        text.parse()
+            .map_err(|_| EngineError::Checkpoint(format!("{what} restore: '{text}'")))
+    })
 }
 
 /// Aligns checkpoint barriers across an instance's input channels. A
@@ -276,40 +309,24 @@ pub(crate) struct ExecSettings {
 /// survive a later SIGKILL of the worker).
 #[derive(Clone)]
 pub(crate) struct Reporters {
-    /// `(checkpoint id, instance id, state bytes)` parts.
-    pub(crate) coord_tx: Sender<(u64, usize, Vec<u8>)>,
-    /// Final (on success) or partial (on failure) sink states by instance.
-    pub(crate) sink_tx: Sender<(usize, SinkState)>,
+    /// Checkpoint parts and sink deliveries, on one FIFO channel.
+    pub(crate) coord_tx: Sender<Report>,
     /// Counters of every finished instance.
     pub(crate) stats_tx: Sender<InstanceStats>,
 }
 
 /// The receiving ends of [`Reporters`].
 pub(crate) struct Reports {
-    pub(crate) parts: Receiver<(u64, usize, Vec<u8>)>,
-    pub(crate) sinks: Receiver<(usize, SinkState)>,
+    pub(crate) coord: Receiver<Report>,
     pub(crate) stats: Receiver<InstanceStats>,
 }
 
 impl Reporters {
     /// Unbounded reporter channels, so reporting never blocks a worker.
     pub(crate) fn unbounded() -> (Reporters, Reports) {
-        let (coord_tx, parts) = unbounded();
-        let (sink_tx, sinks) = unbounded();
+        let (coord_tx, coord) = unbounded();
         let (stats_tx, stats) = unbounded();
-        let reporters = Reporters {
-            coord_tx,
-            sink_tx,
-            stats_tx,
-        };
-        (
-            reporters,
-            Reports {
-                parts,
-                sinks,
-                stats,
-            },
-        )
+        (Reporters { coord_tx, stats_tx }, Reports { coord, stats })
     }
 }
 
@@ -391,11 +408,7 @@ pub(crate) fn spawn_instances(
                 let stats_tx = reporters.stats_tx.clone();
                 let coord_tx = reporters.coord_tx.clone();
                 let counter = Arc::clone(emitted_counters);
-                let start_offset = restore_bytes
-                    .as_deref()
-                    .map(|b| decode::<u64>(b, "source offset"))
-                    .transpose()?
-                    .unwrap_or(0);
+                let start_offset = decode_position(restore_bytes.as_ref(), "source offset")?;
                 let worker = std::thread::spawn(move || -> Result<()> {
                     let mut router = RouterState::new(route_meta.len());
                     let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
@@ -435,7 +448,7 @@ pub(crate) fn spawn_instances(
                             let id = emitted / ckpt_interval;
                             let ck0 = probe.now_if();
                             let _ =
-                                coord_tx.send((id, inst_id, encode(&emitted, "source offset")?));
+                                coord_tx.send(Report::Part(id, inst_id, encode_position(emitted)));
                             // Flushing before the barrier pins the barrier to
                             // a batch boundary: every tuple up to `emitted`
                             // precedes it on channel.
@@ -486,15 +499,26 @@ pub(crate) fn spawn_instances(
             OpKind::Sink => {
                 let rx = take_receiver(receivers, inst.id)?;
                 let channels = plan.input_channel_count[inst.id];
-                let sink_tx = reporters.sink_tx.clone();
                 let stats_tx = reporters.stats_tx.clone();
                 let coord_tx = reporters.coord_tx.clone();
-                let capture_limit = settings.run.capture_limit;
+                let capture_limit = settings.run.capture_limit as u64;
                 let name = node.name.clone();
+                // A sink's checkpoint state is its count, as a source's is its offset.
+                let restored = decode_position(restore_bytes.as_ref(), "sink count")?;
                 let worker = std::thread::spawn(move || -> Result<()> {
-                    let mut st = match restore_bytes.as_deref() {
-                        Some(b) => decode::<SinkState>(b, "sink")?,
-                        None => SinkState::default(),
+                    let mut count = restored;
+                    // Deliveries since the last report.
+                    let mut delta = SinkState::default();
+                    let report = |delta: &mut SinkState| {
+                        let _ = coord_tx.send(Report::Delivered(inst_id, std::mem::take(delta)));
+                    };
+                    // The delta goes first, so the supervisor always holds
+                    // every delivery a part counts.
+                    let checkpoint = |id: u64, count: u64, delta: &mut SinkState| {
+                        report(delta);
+                        report_part(&probe, &coord_tx, inst_id, id, || {
+                            Ok(encode_position(count))
+                        })
                     };
                     let mut aligner = BarrierAligner::new(channels);
                     let mut blocked = vec![false; channels];
@@ -510,9 +534,9 @@ pub(crate) fn spawn_instances(
                         let env = match next_envelope(&blocked, &mut pending, recv)? {
                             Polled::Frame(env) => env,
                             Polled::Lost => {
-                                // Upstream died: hand the partial state to
+                                // Upstream died: hand what was delivered to
                                 // the supervisor before erroring.
-                                let _ = sink_tx.send((inst_id, st));
+                                report(&mut delta);
                                 return Err(EngineError::Execution(format!(
                                     "sink '{name}' lost its input channels"
                                 )));
@@ -525,27 +549,28 @@ pub(crate) fn spawn_instances(
                         }
                         // A frame's tuples all arrive at one instant, so
                         // delivery time is stamped once per frame.
-                        let deliver = |t: Tuple, now: u64, st: &mut SinkState| {
-                            let latency = now.saturating_sub(t.emit_ns);
-                            st.latencies.push(latency);
-                            probe.latency_ns(latency);
-                            st.total += 1;
-                            if st.captured.len() < capture_limit {
-                                st.captured.push(t);
-                            }
-                        };
+                        let deliver =
+                            |t: Tuple, now: u64, count: &mut u64, delta: &mut SinkState| {
+                                let latency = now.saturating_sub(t.emit_ns);
+                                delta.latencies.push(latency);
+                                probe.latency_ns(latency);
+                                if *count < capture_limit {
+                                    delta.captured.push(t);
+                                }
+                                *count += 1;
+                            };
                         match env.msg {
                             Message::Data(t) => {
                                 if let Some(inj) = &injector {
                                     if let Err(e) = inj.check(lnode, index, seen_this_attempt) {
-                                        let _ = sink_tx.send((inst_id, st));
+                                        report(&mut delta);
                                         return Err(e);
                                     }
                                 }
                                 seen_this_attempt += 1;
                                 let now = clock.now_ns();
                                 probe.tuples_in(1);
-                                deliver(t, now, &mut st);
+                                deliver(t, now, &mut count, &mut delta);
                             }
                             Message::Batch(b) => {
                                 let now = clock.now_ns();
@@ -562,12 +587,12 @@ pub(crate) fn spawn_instances(
                                 for t in b.tuples {
                                     if let Some(inj) = &injector {
                                         if let Err(e) = inj.check(lnode, index, seen_this_attempt) {
-                                            let _ = sink_tx.send((inst_id, st));
+                                            report(&mut delta);
                                             return Err(e);
                                         }
                                     }
                                     seen_this_attempt += 1;
-                                    deliver(t, now, &mut st);
+                                    deliver(t, now, &mut count, &mut delta);
                                 }
                                 if let Some(ctx) = tctx {
                                     probe.trace_span(ctx, SpanKind::Deliver, now, clock.now_ns());
@@ -576,15 +601,7 @@ pub(crate) fn spawn_instances(
                             Message::Watermark(_) => {}
                             Message::Barrier(id) => {
                                 if aligner.barrier(id, env.channel) {
-                                    let ck0 = probe.now_if();
-                                    let _ = coord_tx.send((id, inst_id, encode(&st, "sink")?));
-                                    if let Some(t0) = ck0 {
-                                        probe.checkpoint(t0.elapsed().as_nanos() as u64);
-                                        probe.event(
-                                            FlightEventKind::CheckpointCompleted,
-                                            format!("sink checkpoint {id}"),
-                                        );
-                                    }
+                                    checkpoint(id, count, &mut delta)?;
                                     blocked.iter_mut().for_each(|b| *b = false);
                                 } else if exactly_once {
                                     blocked[env.channel] = true;
@@ -594,27 +611,19 @@ pub(crate) fn spawn_instances(
                                 closed += 1;
                                 blocked[env.channel] = false;
                                 for id in aligner.close(env.channel) {
-                                    let ck0 = probe.now_if();
-                                    let _ = coord_tx.send((id, inst_id, encode(&st, "sink")?));
-                                    if let Some(t0) = ck0 {
-                                        probe.checkpoint(t0.elapsed().as_nanos() as u64);
-                                        probe.event(
-                                            FlightEventKind::CheckpointCompleted,
-                                            format!("sink checkpoint {id} (at EOS)"),
-                                        );
-                                    }
+                                    checkpoint(id, count, &mut delta)?;
                                     blocked.iter_mut().for_each(|b| *b = false);
                                 }
                             }
                         }
                         probe.mark_busy(work);
                     }
+                    report(&mut delta);
                     let _ = stats_tx.send(InstanceStats {
                         node: lnode,
-                        tuples_in: st.total,
+                        tuples_in: count,
                         ..InstanceStats::default()
                     });
-                    let _ = sink_tx.send((inst_id, st));
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -654,19 +663,6 @@ pub(crate) fn spawn_instances(
                     // Context of the last traced frame absorbed by a windowed
                     // operator, consumed when a later pane fire emits results.
                     let mut window_ctx: Option<TraceContext> = None;
-                    let checkpoint =
-                        |op: &dyn OperatorInstance, id: u64, probe: &Probe| -> Result<()> {
-                            let ck0 = probe.now_if();
-                            let _ = coord_tx.send((id, inst_id, op.snapshot()?));
-                            if let Some(t0) = ck0 {
-                                probe.checkpoint(t0.elapsed().as_nanos() as u64);
-                                probe.event(
-                                    FlightEventKind::CheckpointCompleted,
-                                    format!("operator checkpoint {id}"),
-                                );
-                            }
-                            Ok(())
-                        };
                     while closed < channels {
                         let wait = probe.now_if();
                         let recv = || batcher.next_input(&rx, &route_meta, &downstream, &probe);
@@ -853,7 +849,7 @@ pub(crate) fn spawn_instances(
                             }
                             Message::Barrier(id) => {
                                 if aligner.barrier(id, env.channel) {
-                                    checkpoint(&*op, id, &probe)?;
+                                    report_part(&probe, &coord_tx, inst_id, id, || op.snapshot())?;
                                     // Flush-then-forward keeps the barrier at
                                     // a batch boundary: all pre-checkpoint
                                     // tuples reach every downstream channel
@@ -874,7 +870,7 @@ pub(crate) fn spawn_instances(
                                 closed += 1;
                                 blocked[env.channel] = false;
                                 for id in aligner.close(env.channel) {
-                                    checkpoint(&*op, id, &probe)?;
+                                    report_part(&probe, &coord_tx, inst_id, id, || op.snapshot())?;
                                     batcher.flush_then_broadcast(
                                         &route_meta,
                                         &downstream,
@@ -962,14 +958,33 @@ pub(crate) fn spawn_instances(
     Ok(handles)
 }
 
+/// Report instance `inst`'s part of checkpoint `id`, encoded by `snapshot`
+/// (the probe's event names the node and instance), timed on `probe`.
+fn report_part(
+    probe: &Probe,
+    coord_tx: &Sender<Report>,
+    inst: usize,
+    id: u64,
+    snapshot: impl FnOnce() -> Result<Vec<u8>>,
+) -> Result<()> {
+    let ck0 = probe.now_if();
+    let _ = coord_tx.send(Report::Part(id, inst, snapshot()?));
+    if let Some(t0) = ck0 {
+        probe.checkpoint(t0.elapsed().as_nanos() as u64);
+        probe.event(
+            FlightEventKind::CheckpointCompleted,
+            format!("checkpoint {id}"),
+        );
+    }
+    Ok(())
+}
+
 /// Everything one attempt reported back to its driver.
 pub(crate) struct Attempt {
     /// `Err` holds the root cause of a failed attempt.
     pub(crate) outcome: std::result::Result<(), EngineError>,
-    /// `(checkpoint id, instance id, state bytes)` parts produced.
-    pub(crate) new_parts: Vec<(u64, usize, Vec<u8>)>,
-    /// Final (on success) or partial (on failure) sink states by instance.
-    pub(crate) sink_states: HashMap<usize, SinkState>,
+    /// Checkpoint parts and sink deliveries, in the order they were sent.
+    pub(crate) reports: Vec<Report>,
     /// Counters of every instance that finished.
     pub(crate) op_stats: Vec<InstanceStats>,
     /// Every instance's emitted-counter value after the join (the source
@@ -1024,8 +1039,7 @@ pub(crate) fn run_local_attempt(
     };
     Ok(Attempt {
         outcome,
-        new_parts: reports.parts.iter().collect(),
-        sink_states: reports.sinks.iter().collect(),
+        reports: reports.coord.iter().collect(),
         op_stats: reports.stats.iter().collect(),
         offsets: emitted_counters
             .iter()
@@ -1034,14 +1048,15 @@ pub(crate) fn run_local_attempt(
     })
 }
 
-/// Fold a successful attempt's reports into a [`RunResult`]: counters per
-/// logical node, `tuples_in` from the source instances' `offsets` (indexed
-/// by instance id), and sink output concatenated in instance order, so which
-/// rows a `capture_limit` keeps does not depend on thread scheduling.
+/// Fold a successful run into a [`RunResult`]: counters per logical node,
+/// `tuples_in` from the source instances' `offsets` (indexed by instance
+/// id), and the sink logs concatenated in instance order, each in delivery
+/// order, so which rows a `capture_limit` keeps does not depend on thread
+/// scheduling.
 pub(crate) fn assemble(
     plan: &PhysicalPlan,
     capture_limit: usize,
-    sink_states: HashMap<usize, SinkState>,
+    logs: BTreeMap<usize, SinkState>,
     op_stats: &[InstanceStats],
     offsets: &[u64],
     start: Instant,
@@ -1071,15 +1086,13 @@ pub(crate) fn assemble(
         elapsed: Duration::ZERO,
         operator_stats,
     };
-    let mut sinks: Vec<(usize, SinkState)> = sink_states.into_iter().collect();
-    sinks.sort_unstable_by_key(|&(i, _)| i);
-    for (_, st) in sinks {
+    for log in logs.into_values() {
         let room = capture_limit.saturating_sub(result.sink_tuples.len());
+        result.tuples_out += log.delivered();
         result
             .sink_tuples
-            .extend(st.captured.into_iter().take(room));
-        result.latencies_ns.extend(st.latencies);
-        result.tuples_out += st.total;
+            .extend(log.captured.into_iter().take(room));
+        result.latencies_ns.extend(log.latencies);
     }
     result.elapsed = start.elapsed();
     result
@@ -1220,17 +1233,59 @@ mod tests {
         assert!(a < 3_600_000_000_000_000);
     }
 
+    /// A sink's checkpoint part is its delivered count, reported after the
+    /// deliveries it counts, so checkpoint bytes do not grow with output.
     #[test]
-    fn sink_state_round_trips_through_snapshot_codec() {
-        let st = SinkState {
-            captured: vec![Tuple::new(vec![crate::value::Value::Int(7)])],
-            latencies: vec![42],
-            total: 1,
+    fn sink_parts_are_counts_that_do_not_grow_with_output() {
+        use crate::{builder::PlanBuilder, runtime::VecSource, value::*};
+        let logical = PlanBuilder::new()
+            .source("src", Schema::of(&[FieldType::Int]), 1)
+            .sink("sink")
+            .build()
+            .unwrap();
+        let plan = PhysicalPlan::expand(&logical).unwrap();
+        let (src, sink) = (plan.source_instances()[0], plan.sink_instances()[0]);
+        // Rows 1 024..5 120 with a barrier every 64: source and sink resume
+        // at 1 024, so every count the sink reports has four digits and the
+        // part sizes compare like for like.
+        let rows = (0..5_120)
+            .map(|i| Tuple::new(vec![Value::Int(i)]))
+            .collect();
+        let start = encode_position(1_024);
+        let restore = HashMap::from([(src, start.clone()), (sink, start)]);
+        let settings = ExecSettings {
+            run: RunConfig::default(),
+            exactly_once: true,
+            ckpt_interval: 64,
         };
-        let bytes = encode(&st, "sink").unwrap();
-        let back: SinkState = decode(&bytes, "sink").unwrap();
-        assert_eq!(back.total, 1);
-        assert_eq!(back.latencies, vec![42]);
-        assert_eq!(back.captured.len(), 1);
+        let emitted = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
+        let attempt = run_local_attempt(
+            &plan,
+            &[VecSource::new(rows)],
+            &settings,
+            None,
+            &restore,
+            &emitted,
+            Instant::now(),
+            None,
+            true,
+        )
+        .unwrap();
+        attempt.outcome.unwrap();
+        let (mut delivered, mut parts) = (1_024, Vec::new());
+        for report in attempt.reports {
+            match report {
+                Report::Delivered(_, delta) => delivered += delta.delivered(),
+                Report::Part(id, inst, bytes) if inst == sink => {
+                    let count = decode_position(Some(&bytes), "sink count").unwrap();
+                    assert_eq!(count, id * 64, "part {id} counts its barrier");
+                    assert_eq!(count, delivered, "part {id} follows its deliveries");
+                    parts.push(bytes);
+                }
+                Report::Part(..) => {}
+            }
+        }
+        assert_eq!((delivered, parts.len()), (5_120, 64));
+        assert!(parts.last().unwrap().len() <= parts[0].len());
     }
 }

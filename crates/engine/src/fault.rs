@@ -13,25 +13,31 @@
 //! prefix; under [`DeliveryMode::AtLeastOnce`] nothing blocks and replay may
 //! re-deliver.
 //!
+//! A sink checkpoints only its delivered count, as a source its offset; what
+//! it delivers reaches the supervisor as deltas ahead of that part and is
+//! appended to one log per sink, never to a snapshot.
+//!
 //! The per-attempt worker loops live in `crate::exec` and are shared with
 //! the threaded and distributed runtimes — this module supervises
 //! single-process attempts (`crate::exec::run_local_attempt`, the same call
-//! `ThreadedRuntime` makes once with barriers off). The restart bookkeeping
-//! between attempts, `RestartLedger`, is shared with the distributed
-//! coordinator.
+//! `ThreadedRuntime` makes once with barriers off). The bookkeeping between
+//! attempts — parts, sink logs, recovery accounting — is `RestartLedger`,
+//! shared with the distributed coordinator.
 //!
 //! UDO state is opaque to the engine and is *not* snapshotted; jobs with
 //! stateful UDOs recover with at-least-once semantics regardless of mode.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{assemble, decode, encode, run_local_attempt, ExecSettings, SinkState};
+use crate::exec::{
+    assemble, decode_position, encode_position, run_local_attempt, ExecSettings, Report, SinkState,
+};
 #[allow(unused_imports)] // referenced by the module docs
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::runtime::{RunConfig, RunResult, SourceFactory};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -265,8 +271,9 @@ pub struct RecoveryStats {
     pub replayed_tuples: u64,
     /// Sink deliveries repeated because of replay (at-least-once only).
     pub duplicate_tuples: u64,
-    /// Sink deliveries discarded by restoring the sink snapshot
-    /// (exactly-once only; they are re-delivered exactly once).
+    /// Sink deliveries discarded by cutting the sink logs back to the
+    /// restored checkpoint (exactly-once only; they are re-delivered
+    /// exactly once).
     pub rolled_back_tuples: u64,
     /// Tuples dropped behind the watermark across operators.
     pub late_tuples: u64,
@@ -283,20 +290,20 @@ pub struct FtRunResult {
     pub recovery: RecoveryStats,
 }
 
-/// Restart bookkeeping shared by both supervisors — [`FtRuntime`] and the
-/// distributed coordinator. It keeps every checkpoint part and the newest
-/// partial state of every sink across attempts, and after a failure
-/// restores the newest complete checkpoint and accounts what replay will
-/// repeat. Backoff, telemetry and giving up stay with the caller.
+/// The bookkeeping of every driver: every checkpoint part and one delivery
+/// log per sink instance, across attempts — the only copy of sink output.
+/// After a failure it restores the newest complete checkpoint, reconciles
+/// the logs with it and accounts what replay will repeat. Backoff,
+/// telemetry and giving up stay with the caller.
 pub(crate) struct RestartLedger {
     /// Instances per checkpoint: a checkpoint is complete with this many parts.
     instances: usize,
     /// Checkpoint id -> instance id -> state bytes.
     parts: HashMap<u64, HashMap<usize, Vec<u8>>>,
-    /// Newest failure-time sink state per sink instance.
-    sink_partials: HashMap<usize, SinkState>,
-    /// What the next attempt restores, by instance id.
-    restore: HashMap<usize, Vec<u8>>,
+    /// Everything each sink instance delivered, in delivery order.
+    pub(crate) logs: BTreeMap<usize, SinkState>,
+    /// What the next attempt restores, by instance id (empty = cold start).
+    pub(crate) restore: HashMap<usize, Vec<u8>>,
     /// Recovery accounting, returned with the run result.
     pub(crate) stats: RecoveryStats,
 }
@@ -307,7 +314,7 @@ impl RestartLedger {
         RestartLedger {
             instances,
             parts: HashMap::new(),
-            sink_partials: HashMap::new(),
+            logs: BTreeMap::new(),
             restore: HashMap::new(),
             stats: RecoveryStats {
                 attempts: 0,
@@ -323,46 +330,38 @@ impl RestartLedger {
         }
     }
 
-    /// Restore payloads the next attempt starts from (empty = cold start).
-    pub(crate) fn restore(&self) -> &HashMap<usize, Vec<u8>> {
-        &self.restore
-    }
-
-    /// Record an attempt's checkpoint parts.
-    pub(crate) fn record_parts(&mut self, parts: Vec<(u64, usize, Vec<u8>)>) {
-        for (id, inst, bytes) in parts {
-            self.parts.entry(id).or_default().insert(inst, bytes);
+    /// Record an attempt's reports: parts by checkpoint, deliveries appended
+    /// to their sink's log.
+    pub(crate) fn record(&mut self, reports: Vec<Report>) {
+        for report in reports {
+            match report {
+                Report::Part(id, inst, bytes) => {
+                    self.parts.entry(id).or_default().insert(inst, bytes);
+                }
+                Report::Delivered(inst, delta) => {
+                    let log = self.logs.entry(inst).or_default();
+                    log.captured.extend(delta.captured);
+                    log.latencies.extend(delta.latencies);
+                }
+            }
         }
         let n = self.instances;
         self.stats.completed_checkpoints =
             self.parts.values().filter(|p| p.len() == n).count() as u64;
     }
 
-    /// Keep a failed attempt's partial sink states and return the total
-    /// delivered by every sink's newest reported state.
-    pub(crate) fn record_partials(&mut self, sinks: HashMap<usize, SinkState>) -> u64 {
-        self.sink_partials.extend(sinks);
-        self.sink_partials.values().map(|s| s.total).sum()
-    }
-
-    /// Sink deliveries carried by the current restore payloads.
-    pub(crate) fn restored_sink_total(&self, plan: &PhysicalPlan) -> Result<u64> {
-        let mut total = 0;
-        for inst in plan.sink_instances() {
-            if let Some(bytes) = self.restore.get(&inst) {
-                total += decode::<SinkState>(bytes, "sink")?.total;
-            }
-        }
-        Ok(total)
+    /// Deliveries in all sink logs.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.logs.values().map(SinkState::delivered).sum()
     }
 
     /// Prepare the next attempt after a failure: restore the newest
     /// checkpoint with a part from every instance (or start cold), count the
     /// source tuples replay re-emits from `offsets_at_failure` (indexed by
-    /// instance id), and charge the sink deliveries past the checkpoint —
-    /// `sink_total_at_failure` minus the checkpoint's — as duplicates
-    /// (at-least-once, where sinks keep their failure-time state) or as
-    /// rolled back (exactly-once). Returns the restored checkpoint id.
+    /// instance id), and charge the sink deliveries past the checkpoint as
+    /// duplicates (at-least-once: logs kept, each sink resumes at its log's
+    /// length) or as rolled back (exactly-once: logs cut back to the
+    /// checkpoint). Returns the restored checkpoint id.
     pub(crate) fn restart(
         &mut self,
         plan: &PhysicalPlan,
@@ -376,30 +375,34 @@ impl RestartLedger {
             .filter(|(_, p)| p.len() == n)
             .map(|(&id, _)| id)
             .max();
+        // Newer checkpoints never completed: their parts could count
+        // deliveries the logs are about to drop.
+        self.parts.retain(|&id, _| Some(id) <= restored);
         self.stats.restored_checkpoint = restored;
         self.restore = restored
             .map(|id| self.parts[&id].clone())
             .unwrap_or_default();
         for src in plan.source_instances() {
-            let offset = self
-                .restore
-                .get(&src)
-                .map(|b| decode::<u64>(b, "source offset"))
-                .transpose()?
-                .unwrap_or(0);
+            let offset = decode_position(self.restore.get(&src), "source offset")?;
             self.stats.replayed_tuples += offsets_at_failure[src].saturating_sub(offset);
         }
-        let delta = sink_total_at_failure.saturating_sub(self.restored_sink_total(plan)?);
-        match self.stats.mode {
-            DeliveryMode::AtLeastOnce => {
-                self.stats.duplicate_tuples += delta;
-                // Sinks keep their failure-time state: nothing delivered is
-                // un-delivered.
-                for (inst, st) in &self.sink_partials {
-                    self.restore.insert(*inst, encode(st, "sink")?);
-                }
+        let exactly_once = self.stats.mode == DeliveryMode::ExactlyOnce;
+        let mut checkpointed = 0;
+        for inst in plan.sink_instances() {
+            let count = decode_position(self.restore.get(&inst), "sink count")?;
+            checkpointed += count;
+            let log = self.logs.entry(inst).or_default();
+            if exactly_once {
+                log.truncate(count)?;
+            } else {
+                self.restore.insert(inst, encode_position(log.delivered()));
             }
-            DeliveryMode::ExactlyOnce => self.stats.rolled_back_tuples += delta,
+        }
+        let delta = sink_total_at_failure.saturating_sub(checkpointed);
+        if exactly_once {
+            self.stats.rolled_back_tuples += delta;
+        } else {
+            self.stats.duplicate_tuples += delta;
         }
         Ok(restored)
     }
@@ -469,19 +472,19 @@ impl FtRuntime {
                 sources,
                 &settings,
                 injector.clone(),
-                ledger.restore(),
+                &ledger.restore,
                 &emitted,
                 start,
                 tel,
                 ledger.stats.attempts > 1,
             )?;
-            ledger.record_parts(attempt.new_parts);
+            ledger.record(attempt.reports);
             let root = match attempt.outcome {
                 Ok(()) => {
                     let result = assemble(
                         plan,
                         self.config.run.capture_limit,
-                        attempt.sink_states,
+                        std::mem::take(&mut ledger.logs),
                         &attempt.op_stats,
                         &attempt.offsets,
                         start,
@@ -507,7 +510,6 @@ impl FtRuntime {
             };
             let detected = Instant::now();
             let restarts_used = ledger.stats.attempts - 1;
-            let reported = ledger.record_partials(attempt.sink_states);
             if restarts_used >= self.config.restart.max_restarts {
                 if let Some(t) = tel {
                     if t.config.dump_on_error {
@@ -519,7 +521,7 @@ impl FtRuntime {
                 }
                 return Err(root);
             }
-            let restored = ledger.restart(plan, &attempt.offsets, reported)?;
+            let restored = ledger.restart(plan, &attempt.offsets, ledger.delivered())?;
             if let Some(t) = tel {
                 t.recorder.record(
                     FlightEventKind::RecoveryStarted,

@@ -10,6 +10,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{assemble, run_local_attempt, ExecSettings};
+use crate::fault::{DeliveryMode, RestartLedger};
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::pressure::OverloadConfig;
@@ -319,10 +320,13 @@ impl ThreadedRuntime {
             }
             return Err(e);
         }
+        // Barriers are off: each sink's one end-of-run delta is its log.
+        let mut ledger = RestartLedger::new(n, DeliveryMode::AtLeastOnce);
+        ledger.record(attempt.reports);
         let result = assemble(
             plan,
             self.config.capture_limit,
-            attempt.sink_states,
+            ledger.logs,
             &attempt.op_stats,
             &attempt.offsets,
             start,

@@ -5,11 +5,13 @@
 use pdsp_engine::fault::{
     Backoff, DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
 };
-use pdsp_engine::runtime::{RunConfig, VecSource};
+use pdsp_engine::runtime::{RunConfig, SourceFactory, VecSource};
 use pdsp_engine::{
-    agg::AggFunc, window::WindowSpec, EngineError, PhysicalPlan, PlanBuilder, Tuple,
+    agg::AggFunc, window::WindowSpec, EngineError, PhysicalPlan, PlanBuilder, Predicate, Tuple,
 };
 use pdsp_engine::{FieldType, Schema, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const KEYS: i64 = 4;
@@ -190,6 +192,82 @@ fn restart_budget_exhaustion_surfaces_the_root_error() {
         ),
         "root cause surfaces, not a cascade symptom: {err:?}"
     );
+}
+
+/// Rows `0..rows` of one `Int` field; the first iterator it hands out dies
+/// at row `dies_at`.
+struct DiesOnce {
+    rows: i64,
+    dies_at: i64,
+    died: AtomicBool,
+}
+
+impl SourceFactory for DiesOnce {
+    fn instance_iter(&self, _: usize, _: usize) -> Box<dyn Iterator<Item = Tuple> + Send> {
+        let first = !self.died.swap(true, Ordering::SeqCst);
+        let dies_at = self.dies_at;
+        Box::new((0..self.rows).map(move |i| {
+            if first && i == dies_at {
+                // Not `panic!`: this runs on the source's reader thread,
+                // whose panic message would race libtest's output capture.
+                std::panic::resume_unwind(Box::new("source iterator died"));
+            }
+            Tuple::new(vec![Value::Int(i)])
+        }))
+    }
+}
+
+#[test]
+fn second_failure_loses_no_rows_in_either_mode() {
+    // The source dies at row 300, so attempt 2 resumes from checkpoint 2;
+    // its sink then dies at its 900th delivery, after checkpoint 9
+    // completed, and attempt 3 resumes from there.
+    const ROWS: i64 = 2000;
+    let logical = PlanBuilder::new()
+        .source("src", Schema::of(&[FieldType::Int]), 1)
+        .filter("all", Predicate::True, 1.0)
+        .sink("sink")
+        .build()
+        .unwrap();
+    let plan = PhysicalPlan::expand(&logical).unwrap();
+    for mode in [DeliveryMode::AtLeastOnce, DeliveryMode::ExactlyOnce] {
+        let cfg = FtConfig {
+            run: RunConfig {
+                batch_size: 16,
+                ..RunConfig::default()
+            },
+            ..ft_config(mode)
+        };
+        let source = Arc::new(DiesOnce {
+            rows: ROWS,
+            dies_at: 300,
+            died: AtomicBool::new(false),
+        });
+        let res = FtRuntime::new(cfg)
+            .run(
+                &plan,
+                &[source],
+                Some(FaultInjector::after_tuples(2, 0, 900).panicking()),
+            )
+            .unwrap();
+        assert_eq!(res.recovery.attempts, 3, "{mode:?}");
+        let mut seen = vec![0u32; ROWS as usize];
+        for t in &res.result.sink_tuples {
+            match t.values[0] {
+                Value::Int(i) => seen[i as usize] += 1,
+                ref v => panic!("unexpected sink value {v:?}"),
+            }
+        }
+        let missing = seen.iter().filter(|&&c| c == 0).count();
+        assert_eq!(
+            missing, 0,
+            "{mode:?}: {missing} source rows never delivered"
+        );
+        if mode == DeliveryMode::ExactlyOnce {
+            assert!(seen.iter().all(|&c| c == 1), "exactly-once duplicated rows");
+            assert_eq!(res.result.tuples_out, ROWS as u64);
+        }
+    }
 }
 
 #[test]
