@@ -8,7 +8,7 @@ use pdsp_engine::distributed::DistributedRun;
 use pdsp_engine::error::{EngineError, Result};
 use pdsp_engine::physical::PhysicalPlan;
 use pdsp_engine::plan::LogicalPlan;
-use pdsp_engine::runtime::{RunConfig, SourceFactory, ThreadedRuntime};
+use pdsp_engine::runtime::{RunConfig, RunResult, SourceFactory, ThreadedRuntime};
 use pdsp_engine::telemetry_for_plan;
 use pdsp_metrics::{LatencyRecorder, RunSummary};
 use pdsp_store::{Filter, Store};
@@ -466,27 +466,52 @@ impl Controller {
             }
             None => (rt.run(&phys, sources)?, None),
         };
+        Ok(self.store_run(
+            workload,
+            "threaded",
+            plan,
+            event_rate,
+            &result,
+            experiment_id,
+        ))
+    }
+
+    /// Summarize a real run of `plan` and store its [`RunRecord`] under
+    /// `backend`: `"threaded"` runs on `local-threads`, `"distributed"` on
+    /// `local-processes`.
+    fn store_run(
+        &self,
+        workload: &str,
+        backend: &str,
+        plan: &LogicalPlan,
+        event_rate: f64,
+        result: &RunResult,
+        experiment_id: Option<String>,
+    ) -> RunRecord {
         let mut rec = LatencyRecorder::default();
         for &ns in &result.latencies_ns {
             rec.record_ns(ns);
         }
-        let summary = RunSummary::from_recorder(
-            &rec,
-            result.tuples_in,
-            result.tuples_out,
-            result.elapsed.as_secs_f64(),
-        );
         let record = RunRecord {
             workload: workload.to_string(),
-            cluster: "local-threads".into(),
+            cluster: match backend {
+                "threaded" => "local-threads",
+                _ => "local-processes",
+            }
+            .into(),
             parallelism: plan.nodes.iter().map(|n| n.parallelism).collect(),
             event_rate,
-            backend: "threaded".into(),
-            summary,
+            backend: backend.into(),
+            summary: RunSummary::from_recorder(
+                &rec,
+                result.tuples_in,
+                result.tuples_out,
+                result.elapsed.as_secs_f64(),
+            ),
             experiment_id,
         };
         self.store.with_mut("runs", |c| c.insert_ser(&record)).ok();
-        Ok(record)
+        record
     }
 
     /// Execute an application on the distributed multi-process runtime:
@@ -538,34 +563,20 @@ impl Controller {
         // instead of after worker processes have been spawned, and the
         // resolved plan supplies the per-node parallelism for the record.
         let (phys, _sources) = resolver(spec)?;
-        let parallelism: Vec<usize> = phys.logical.nodes.iter().map(|n| n.parallelism).collect();
         let rt = pdsp_engine::distributed::DistributedRuntime::with_resolver(dist, resolver);
         let run = rt.run(spec)?;
         let experiment_id = (trace_every > 0).then(new_experiment_id);
         if let Some(id) = &experiment_id {
             self.store_traces(id, workload, "distributed", trace_every, run.spans.clone());
         }
-        let result = &run.ft.result;
-        let mut rec = LatencyRecorder::default();
-        for &ns in &result.latencies_ns {
-            rec.record_ns(ns);
-        }
-        let summary = RunSummary::from_recorder(
-            &rec,
-            result.tuples_in,
-            result.tuples_out,
-            result.elapsed.as_secs_f64(),
-        );
-        let record = RunRecord {
-            workload: workload.to_string(),
-            cluster: "local-processes".into(),
-            parallelism,
+        let record = self.store_run(
+            workload,
+            "distributed",
+            &phys.logical,
             event_rate,
-            backend: "distributed".into(),
-            summary,
+            &run.ft.result,
             experiment_id,
-        };
-        self.store.with_mut("runs", |c| c.insert_ser(&record)).ok();
+        );
         Ok((record, run))
     }
 

@@ -43,15 +43,15 @@
 //!   the TCP mesh exactly as they flow through local channels; checkpoint
 //!   parts and sink delivery deltas stream to the coordinator as they are
 //!   made, so they survive a later SIGKILL of the worker that made them.
-//! * **Supervised restart** — on failure the coordinator kills the
-//!   remaining worker processes, restores the newest complete checkpoint,
-//!   respawns a fresh process fleet, and replays sources from their
-//!   recorded offsets, keeping the same at-least-once / exactly-once replay
-//!   accounting as the in-process [`crate::fault::FtRuntime`] through the
-//!   restart ledger both supervisors share.
-//! * **Graceful degradation** — past the restart budget the job is
-//!   quarantined ([`EngineError::JobQuarantined`]) and the coordinator's
-//!   flight recorder is dumped for post-mortem.
+//! * **Supervised restart** — an attempt is one process fleet: on failure
+//!   the coordinator kills the remaining worker processes, and the
+//!   supervisor [`crate::fault::FtRuntime`] uses too restores the newest
+//!   complete checkpoint, backs off and has a fresh fleet replay sources
+//!   from their recorded offsets, with the same at-least-once /
+//!   exactly-once replay accounting.
+//! * **Graceful degradation** — past the restart budget the failed
+//!   attempt's root cause (typically [`EngineError::WorkerLost`]) surfaces
+//!   and the coordinator's flight recorder is dumped for post-mortem.
 //!
 //! Connection establishment always goes through
 //! [`pdsp_net::connect_with_backoff`], so a flapping endpoint sees bounded,
@@ -69,10 +69,10 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    assemble, join_instances, spawn_instances, ExecSettings, InstanceStats, Report, Reporters,
-    RunClock,
+    decode_position, join_instances, spawn_instances, Attempt, ExecSettings, InstanceStats, Report,
+    Reporters, RunClock,
 };
-use crate::fault::{DeliveryMode, FtConfig, FtRunResult, RestartLedger};
+use crate::fault::{supervise, DeliveryMode, FtConfig, FtRunResult};
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::runtime::{Envelope, RunConfig};
@@ -90,7 +90,7 @@ use pdsp_telemetry::{
     MetricsRegistry, RunTelemetry, Span, SpanKind, TelemetryConfig, TraceBook,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -935,21 +935,15 @@ enum Event {
     Lost { gen: usize, worker: Option<usize> },
 }
 
-/// Everything one distributed attempt reported.
+/// What the coordinator alone observes across attempts, beyond the
+/// [`Attempt`] the supervisor consumes.
 #[derive(Default)]
-struct DistAttempt {
-    /// Root cause of a failed attempt (`None` = every worker done).
-    failure: Option<EngineError>,
-    /// Checkpoint parts and sink deltas, in each worker's order.
-    reports: Vec<Report>,
-    op_stats: Vec<InstanceStats>,
-    /// Best-known source offsets (heartbeats, then Done).
-    emitted: HashMap<usize, u64>,
-    /// Heartbeat-reported sink deliveries this attempt, by worker.
-    hb_sinks: HashMap<usize, u64>,
-    /// Last telemetry snapshot per instance id.
-    snapshots: HashMap<usize, InstanceSnapshot>,
-    /// Spans reported by workers in `Done` (tracing runs only).
+struct Observed {
+    /// Alarms in first-firing order (heartbeat-gap alarms included).
+    alarms: Vec<Alarm>,
+    /// Last telemetry snapshot per instance id, across attempts.
+    snapshots: BTreeMap<usize, InstanceSnapshot>,
+    /// Spans reported by workers in `Done`, latest attempt only.
     spans: Vec<Span>,
 }
 
@@ -999,7 +993,6 @@ impl DistributedRuntime {
         let (plan, _sources) = (self.resolver)(spec)?;
         let n = plan.instance_count();
         let k = self.config.workers;
-        let assignment: Vec<usize> = (0..n).map(|i| i % k).collect();
 
         let listener =
             TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("bind control listener", e))?;
@@ -1021,145 +1014,56 @@ impl DistributedRuntime {
 
         let start = Instant::now();
         let epoch_ns = epoch_ns_now();
-        let mut alarms_observed: Vec<Alarm> = Vec::new();
-        let mut ledger = RestartLedger::new(n, self.config.ft.mode);
-        // Best-known source offsets by instance id, across attempts.
-        let mut emitted_totals: Vec<u64> = vec![0; n];
-        let mut last_snapshots: HashMap<usize, InstanceSnapshot> = HashMap::new();
-
-        loop {
-            ledger.stats.attempts += 1;
-            let first = ledger.stats.attempts == 1;
-            let gen = generation.fetch_add(1, Ordering::SeqCst) + 1;
-            // Heartbeat bookkeeping starts fresh each attempt — interval
-            // counters restart with the new fleet, and stale entries from a
-            // dead generation must not raise alarms against live workers.
-            // The gap warning fires at half the lease timeout: far enough
-            // past scheduler noise (a saturated box oversleeps a 20 ms
-            // heartbeat by tens of ms) that it only names workers on the
-            // road to lease expiry, yet still well ahead of the axe.
-            let gap_intervals =
-                (self.config.lease_timeout_ms / self.config.heartbeat_ms.max(1) / 2).max(3);
-            let mut monitor = AlarmMonitor::new(AlarmConfig {
-                heartbeat_gap_intervals: gap_intervals,
-                ..AlarmConfig::default()
-            });
-            // What this attempt's sinks resume from.
-            let resumed = ledger.delivered();
-            let mut children = self.spawn_children(&addr, k)?;
-            let att = self.drive_attempt(
-                gen,
-                &ev_rx,
-                &mut children,
-                spec,
-                &assignment,
-                &ledger.restore,
-                ledger.stats.attempts,
-                epoch_ns,
-                first.then_some(self.config.kill).flatten(),
-                first.then_some(self.config.drop_data_after_ms).flatten(),
-                &tel,
-                &mut monitor,
-                &mut alarms_observed,
-            );
-            // Every attempt ends with a clean slate of processes: killing
-            // is idempotent for the already-exited, and wait() reaps.
-            for c in &mut children {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-
-            ledger.record(att.reports);
-            for (inst, v) in &att.emitted {
-                if let Some(e) = emitted_totals.get_mut(*inst) {
-                    *e = (*e).max(*v);
+        let mut seen = Observed::default();
+        let ft = &self.config.ft;
+        let run = supervise(
+            &plan,
+            ft.mode,
+            &ft.restart,
+            ft.run.capture_limit,
+            start,
+            Some(&tel),
+            |attempt, restore| {
+                // Replay starts at the restored offsets; a source no worker
+                // reports on this attempt stays there.
+                let mut offsets = vec![0; n];
+                for src in plan.source_instances() {
+                    offsets[src] = decode_position(restore.get(&src), "source offset")?;
                 }
-            }
-            for (inst, snap) in att.snapshots {
-                last_snapshots.insert(inst, snap);
-            }
-
-            let root = match att.failure {
-                None => {
-                    let result = assemble(
-                        &plan,
-                        self.config.ft.run.capture_limit,
-                        std::mem::take(&mut ledger.logs),
-                        &att.op_stats,
-                        &emitted_totals,
-                        start,
-                    );
-                    ledger.stats.late_tuples = result.total_late();
-                    tel.recorder.record(
-                        FlightEventKind::RunFinished,
-                        0,
-                        0,
-                        format!(
-                            "{} tuples delivered after {} attempt(s)",
-                            result.tuples_out, ledger.stats.attempts
-                        ),
-                    );
-                    let mut ids: Vec<usize> = last_snapshots.keys().copied().collect();
-                    ids.sort_unstable();
-                    let snapshots = ids
-                        .into_iter()
-                        .filter_map(|i| last_snapshots.remove(&i))
-                        .collect();
-                    let mut spans = att.spans;
-                    spans.sort_by_key(|s| (s.start_ns, s.id));
-                    return Ok(DistributedRun {
-                        ft: FtRunResult {
-                            result,
-                            recovery: ledger.stats,
-                        },
-                        snapshots,
-                        alarms: alarms_observed,
-                        spans,
-                    });
+                let first = attempt == 1;
+                let gen = generation.fetch_add(1, Ordering::SeqCst) + 1;
+                let mut children = self.spawn_children(&addr, k)?;
+                let att = self.drive_attempt(
+                    gen,
+                    &ev_rx,
+                    &mut children,
+                    spec,
+                    restore,
+                    offsets,
+                    attempt,
+                    epoch_ns,
+                    first.then_some(self.config.kill).flatten(),
+                    first.then_some(self.config.drop_data_after_ms).flatten(),
+                    &tel,
+                    &mut seen,
+                );
+                // Every attempt ends with a clean slate of processes:
+                // killing is idempotent for the already-exited, and wait()
+                // reaps.
+                for c in &mut children {
+                    let _ = c.kill();
+                    let _ = c.wait();
                 }
-                Some(root) => root,
-            };
-            let detected = Instant::now();
-            let restarts_used = ledger.stats.attempts - 1;
-            if restarts_used >= self.config.ft.restart.max_restarts {
-                if tel.config.dump_on_error {
-                    tel.recorder.dump_to_stderr(&format!(
-                        "quarantining job after {restarts_used} restart(s): {root}"
-                    ));
-                }
-                return Err(EngineError::JobQuarantined {
-                    restarts: restarts_used,
-                    cause: root.to_string(),
-                });
-            }
-            // A SIGKILL takes unsent deltas with it: heartbeats may know of
-            // more deliveries than the logs hold.
-            let at_failure = ledger
-                .delivered()
-                .max(resumed + att.hb_sinks.values().sum::<u64>());
-            let restored = ledger.restart(&plan, &emitted_totals, at_failure)?;
-            tel.recorder.record(
-                FlightEventKind::RecoveryStarted,
-                0,
-                0,
-                match restored {
-                    Some(id) => format!("restoring checkpoint {id}: {root}"),
-                    None => format!("cold restart (no complete checkpoint): {root}"),
-                },
-            );
-            std::thread::sleep(self.config.ft.restart.delay(restarts_used));
-            let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
-            ledger.stats.recovery_times_ms.push(recovery_ms);
-            tel.recorder.record(
-                FlightEventKind::RestartCompleted,
-                0,
-                0,
-                format!(
-                    "fleet restart {} after {recovery_ms:.2} ms",
-                    restarts_used + 1
-                ),
-            );
-        }
+                Ok(att)
+            },
+        )?;
+        seen.spans.sort_by_key(|s| (s.start_ns, s.id));
+        Ok(DistributedRun {
+            ft: run,
+            snapshots: seen.snapshots.into_values().collect(),
+            alarms: seen.alarms,
+            spans: seen.spans,
+        })
     }
 
     fn spawn_children(&self, addr: &str, k: usize) -> Result<Vec<Child>> {
@@ -1202,83 +1106,50 @@ impl DistributedRuntime {
         ev_rx: &Receiver<Event>,
         children: &mut [Child],
         spec: &str,
-        assignment: &[usize],
         restore: &HashMap<usize, Vec<u8>>,
+        offsets: Vec<u64>,
         attempt: usize,
         epoch_ns: u64,
         kill: Option<KillSpec>,
         drop_data_after_ms: Option<u64>,
         tel: &RunTelemetry,
-        monitor: &mut AlarmMonitor,
-        alarms_observed: &mut Vec<Alarm>,
-    ) -> DistAttempt {
+        seen: &mut Observed,
+    ) -> Attempt {
         let k = children.len();
-        let mut att = DistAttempt::default();
-        let fail = |att: &mut DistAttempt, e: EngineError| {
-            att.failure = Some(e);
+        let assignment: Vec<usize> = (0..offsets.len()).map(|i| i % k).collect();
+        let mut att = Attempt {
+            outcome: Ok(()),
+            reports: Vec::new(),
+            op_stats: Vec::new(),
+            offsets,
+            delivered_seen: 0,
         };
-
-        // Phase 1: gather Hellos (collecting control writers + data addrs).
-        let mut writers: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
-        let mut data_addrs: Vec<String> = vec![String::new(); k];
-        let deadline = Instant::now() + HANDSHAKE_GRACE;
-        let mut pending = k;
-        while pending > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                fail(
-                    &mut att,
-                    EngineError::Transport(format!(
-                        "{pending} worker(s) never dialed in within {HANDSHAKE_GRACE:?}"
-                    )),
-                );
-                return att;
-            }
-            match ev_rx.recv_timeout(left.min(Duration::from_millis(50))) {
-                Ok(Event::Msg {
-                    gen: g,
-                    msg: ToCoord::Hello { worker, data_addr },
-                    writer,
-                }) if g == gen => {
-                    if worker < k && writers[worker].is_none() {
-                        writers[worker] = writer;
-                        data_addrs[worker] = data_addr;
-                        pending -= 1;
-                    }
-                }
-                Ok(Event::Lost { gen: g, worker }) if g == gen => {
-                    fail(
-                        &mut att,
-                        EngineError::WorkerLost {
-                            worker: worker.unwrap_or(k),
-                            detail: "control connection lost during handshake".into(),
-                        },
-                    );
-                    return att;
-                }
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    fail(
-                        &mut att,
-                        EngineError::Transport("coordinator event channel closed".into()),
-                    );
-                    return att;
-                }
-            }
-        }
-
-        // Phase 2: deploy everywhere, gather Readys, fire Start.
-        let mut restore_wire: Vec<(usize, Vec<u8>)> =
+        // Sink deliveries by worker, from its latest heartbeat.
+        let mut hb_sinks: HashMap<usize, u64> = HashMap::new();
+        seen.spans.clear();
+        // Heartbeat bookkeeping starts fresh each attempt — interval
+        // counters restart with the new fleet, and stale entries from a
+        // dead generation must not raise alarms against live workers. The
+        // gap warning fires at half the lease timeout: far enough past
+        // scheduler noise (a saturated box oversleeps a 20 ms heartbeat by
+        // tens of ms) that it only names workers on the road to lease
+        // expiry, yet still well ahead of the axe.
+        let gap_intervals =
+            (self.config.lease_timeout_ms / self.config.heartbeat_ms.max(1) / 2).max(3);
+        let mut monitor = AlarmMonitor::new(AlarmConfig {
+            heartbeat_gap_intervals: gap_intervals,
+            ..AlarmConfig::default()
+        });
+        let mut restore: Vec<(usize, Vec<u8>)> =
             restore.iter().map(|(&i, b)| (i, b.clone())).collect();
-        restore_wire.sort_unstable_by_key(|&(i, _)| i);
+        restore.sort_unstable_by_key(|&(i, _)| i);
         let deploy = DeploySpec {
             spec: spec.to_string(),
             attempt,
             workers: k,
-            assignment: assignment.to_vec(),
-            peers: data_addrs,
-            restore: restore_wire,
+            assignment,
+            peers: Vec::new(),
+            restore,
             run: self.config.ft.run.clone(),
             mode: self.config.ft.mode,
             ckpt_interval: self.config.ft.checkpoint_interval_tuples,
@@ -1287,73 +1158,14 @@ impl DistributedRuntime {
             drop_data_after_ms,
             trace_every: self.config.trace_every,
         };
-        for (w, writer) in writers.iter_mut().enumerate() {
-            let Some(stream) = writer else {
-                fail(
-                    &mut att,
-                    EngineError::WorkerLost {
-                        worker: w,
-                        detail: "no control writer after hello".into(),
-                    },
-                );
-                return att;
-            };
-            if let Err(e) = send_json(stream, &ToWorker::Deploy(Box::new(deploy.clone()))) {
-                fail(&mut att, io_err(&format!("deploy to worker {w}"), e));
+        // The control writers stay open until the attempt is over.
+        let _writers = match launch(gen, ev_rx, deploy) {
+            Ok(writers) => writers,
+            Err(e) => {
+                att.outcome = Err(e);
                 return att;
             }
-        }
-        let mut ready = vec![false; k];
-        let mut pending = k;
-        while pending > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                fail(
-                    &mut att,
-                    EngineError::Transport(format!(
-                        "{pending} worker(s) never became ready within {HANDSHAKE_GRACE:?}"
-                    )),
-                );
-                return att;
-            }
-            match ev_rx.recv_timeout(left.min(Duration::from_millis(50))) {
-                Ok(Event::Msg {
-                    gen: g,
-                    msg: ToCoord::Ready { worker },
-                    ..
-                }) if g == gen => {
-                    if worker < k && !ready[worker] {
-                        ready[worker] = true;
-                        pending -= 1;
-                    }
-                }
-                Ok(Event::Lost { gen: g, worker }) if g == gen => {
-                    fail(
-                        &mut att,
-                        EngineError::WorkerLost {
-                            worker: worker.unwrap_or(k),
-                            detail: "control connection lost during deployment".into(),
-                        },
-                    );
-                    return att;
-                }
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    fail(
-                        &mut att,
-                        EngineError::Transport("coordinator event channel closed".into()),
-                    );
-                    return att;
-                }
-            }
-        }
-        for (w, writer) in writers.iter_mut().enumerate() {
-            if let Err(e) = send_json(writer.as_mut().expect("writer checked"), &ToWorker::Start) {
-                fail(&mut att, io_err(&format!("start worker {w}"), e));
-                return att;
-            }
-        }
+        };
 
         // Phase 3: supervise. Leases start now; heartbeats renew them.
         let attempt_start = Instant::now();
@@ -1409,7 +1221,7 @@ impl DistributedRuntime {
                 );
                 tel.recorder
                     .record(FlightEventKind::WorkerFailed, 0, w, detail.clone());
-                fail(&mut att, EngineError::WorkerLost { worker: w, detail });
+                att.outcome = Err(EngineError::WorkerLost { worker: w, detail });
                 break;
             }
 
@@ -1418,13 +1230,10 @@ impl DistributedRuntime {
             if let Some(deadline) = suspect_deadline {
                 if Instant::now() >= deadline {
                     let (worker, error) = suspect.take().expect("suspect set with deadline");
-                    fail(
-                        &mut att,
-                        EngineError::WorkerLost {
-                            worker,
-                            detail: error,
-                        },
-                    );
+                    att.outcome = Err(EngineError::WorkerLost {
+                        worker,
+                        detail: error,
+                    });
                     break;
                 }
             }
@@ -1434,7 +1243,7 @@ impl DistributedRuntime {
             let interval = attempt_start.elapsed().as_millis() as u64 / heartbeat_ms;
             for a in monitor.evaluate_heartbeats(interval) {
                 if a.kind == AlarmKind::HeartbeatGap && alarmed.insert(a.instance) {
-                    alarms_observed.push(a.clone());
+                    seen.alarms.push(a.clone());
                 }
             }
 
@@ -1448,15 +1257,9 @@ impl DistributedRuntime {
                     } => {
                         leases.renew(worker as u64);
                         monitor.note_heartbeat(worker, interval);
-                        for (inst, v) in emitted {
-                            let e = att.emitted.entry(inst).or_insert(0);
-                            *e = (*e).max(v);
-                        }
-                        att.hb_sinks
-                            .insert(worker, sinks.iter().map(|&(_, v)| v).sum());
-                        for (inst, snap) in snapshots {
-                            att.snapshots.insert(inst, snap);
-                        }
+                        advance(&mut att.offsets, emitted);
+                        hb_sinks.insert(worker, sinks.iter().map(|&(_, v)| v).sum());
+                        seen.snapshots.extend(snapshots);
                     }
                     ToCoord::Report { report, .. } => att.reports.push(report),
                     ToCoord::Done {
@@ -1468,24 +1271,18 @@ impl DistributedRuntime {
                         done.insert(worker);
                         leases.remove(worker as u64);
                         monitor.clear_heartbeat(worker);
-                        att.spans.extend(spans);
+                        seen.spans.extend(spans);
                         att.op_stats.extend(stats);
-                        for (inst, v) in emitted {
-                            let e = att.emitted.entry(inst).or_insert(0);
-                            *e = (*e).max(v);
-                        }
+                        advance(&mut att.offsets, emitted);
                         if done.len() == k {
                             break;
                         }
                         if let Some((worker, error)) = suspect.take() {
                             if done.len() + 1 == k {
-                                fail(
-                                    &mut att,
-                                    EngineError::WorkerLost {
-                                        worker,
-                                        detail: error,
-                                    },
-                                );
+                                att.outcome = Err(EngineError::WorkerLost {
+                                    worker,
+                                    detail: error,
+                                });
                                 break;
                             }
                             suspect = Some((worker, error));
@@ -1513,13 +1310,10 @@ impl DistributedRuntime {
                         // disagree: the report stands immediately.
                         if done.len() + 1 == k {
                             let (worker, error) = suspect.take().expect("just set");
-                            fail(
-                                &mut att,
-                                EngineError::WorkerLost {
-                                    worker,
-                                    detail: error,
-                                },
-                            );
+                            att.outcome = Err(EngineError::WorkerLost {
+                                worker,
+                                detail: error,
+                            });
                             break;
                         }
                     }
@@ -1530,10 +1324,9 @@ impl DistributedRuntime {
                 Ok(Event::Lost { .. }) | Ok(Event::Msg { .. }) => {}
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
-                    fail(
-                        &mut att,
-                        EngineError::Transport("coordinator event channel closed".into()),
-                    );
+                    att.outcome = Err(EngineError::Transport(
+                        "coordinator event channel closed".into(),
+                    ));
                     break;
                 }
             }
@@ -1548,18 +1341,133 @@ impl DistributedRuntime {
                 }
                 match msg {
                     ToCoord::Report { report, .. } => att.reports.push(report),
-                    ToCoord::Heartbeat { emitted, .. } => {
-                        for (inst, v) in emitted {
-                            let e = att.emitted.entry(inst).or_insert(0);
-                            *e = (*e).max(v);
-                        }
-                    }
+                    ToCoord::Heartbeat { emitted, .. } => advance(&mut att.offsets, emitted),
                     _ => {}
                 }
             }
         }
+        att.delivered_seen = hb_sinks.values().sum();
         att
     }
+}
+
+/// Move each reported source offset forward; reports arrive out of order
+/// across heartbeats and `Done`, and an offset never moves back within an
+/// attempt.
+fn advance(offsets: &mut [u64], reported: Vec<(usize, u64)>) {
+    for (inst, v) in reported {
+        if let Some(o) = offsets.get_mut(inst) {
+            *o = (*o).max(v);
+        }
+    }
+}
+
+/// Handshake, deploy and start one fleet: wait for every worker's Hello,
+/// send each the deploy message with every peer's data address, wait for
+/// every Ready, then fire Start. Returns the control writers.
+fn launch(gen: usize, ev_rx: &Receiver<Event>, mut deploy: DeploySpec) -> Result<Vec<TcpStream>> {
+    let k = deploy.workers;
+    let deadline = Instant::now() + HANDSHAKE_GRACE;
+    let mut writers: Vec<Option<TcpStream>> = (0..k).map(|_| None).collect();
+    deploy.peers = vec![String::new(); k];
+    await_all(
+        ev_rx,
+        gen,
+        k,
+        deadline,
+        "dialed in",
+        "handshake",
+        |msg, writer| {
+            let ToCoord::Hello { worker, data_addr } = msg else {
+                return None;
+            };
+            let slot = writers.get_mut(worker).filter(|w| w.is_none())?;
+            *slot = writer;
+            deploy.peers[worker] = data_addr;
+            Some(worker)
+        },
+    )?;
+    let mut writers = writers
+        .into_iter()
+        .enumerate()
+        .map(|(w, writer)| {
+            writer.ok_or_else(|| EngineError::WorkerLost {
+                worker: w,
+                detail: "no control writer after hello".into(),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let deploy = ToWorker::Deploy(Box::new(deploy));
+    for (w, stream) in writers.iter_mut().enumerate() {
+        send_json(stream, &deploy).map_err(|e| io_err(&format!("deploy to worker {w}"), e))?;
+    }
+    await_all(
+        ev_rx,
+        gen,
+        k,
+        deadline,
+        "became ready",
+        "deployment",
+        |msg, _| {
+            let ToCoord::Ready { worker } = msg else {
+                return None;
+            };
+            Some(worker)
+        },
+    )?;
+    for (w, stream) in writers.iter_mut().enumerate() {
+        send_json(stream, &ToWorker::Start).map_err(|e| io_err(&format!("start worker {w}"), e))?;
+    }
+    Ok(writers)
+}
+
+/// Wait until each of `k` workers of generation `gen` has sent a message
+/// `accept` takes (it returns the sender's worker id), before `deadline`.
+/// `did` and `phase` name the wait in its errors.
+fn await_all(
+    ev_rx: &Receiver<Event>,
+    gen: usize,
+    k: usize,
+    deadline: Instant,
+    did: &str,
+    phase: &str,
+    mut accept: impl FnMut(ToCoord, Option<TcpStream>) -> Option<usize>,
+) -> Result<()> {
+    let mut seen = vec![false; k];
+    let mut pending = k;
+    while pending > 0 {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(EngineError::Transport(format!(
+                "{pending} worker(s) never {did} within {HANDSHAKE_GRACE:?}"
+            )));
+        }
+        match ev_rx.recv_timeout(left.min(Duration::from_millis(50))) {
+            Ok(Event::Msg {
+                gen: g,
+                msg,
+                writer,
+            }) if g == gen => {
+                if let Some(w) = accept(msg, writer).filter(|&w| w < k && !seen[w]) {
+                    seen[w] = true;
+                    pending -= 1;
+                }
+            }
+            Ok(Event::Lost { gen: g, worker }) if g == gen => {
+                return Err(EngineError::WorkerLost {
+                    worker: worker.unwrap_or(k),
+                    detail: format!("control connection lost during {phase}"),
+                });
+            }
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(EngineError::Transport(
+                    "coordinator event channel closed".into(),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One thread accepting control connections forever; each connection gets a

@@ -172,14 +172,6 @@ pub enum EngineError {
         /// What the failure detector observed.
         detail: String,
     },
-    /// Graceful degradation: the job exhausted its restart budget and was
-    /// quarantined instead of retried forever.
-    JobQuarantined {
-        /// Restarts consumed before giving up.
-        restarts: usize,
-        /// Root cause of the final failed attempt, rendered.
-        cause: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -295,10 +287,6 @@ impl fmt::Display for EngineError {
             EngineError::WorkerLost { worker, detail } => {
                 write!(f, "worker {worker} lost: {detail}")
             }
-            EngineError::JobQuarantined { restarts, cause } => write!(
-                f,
-                "job quarantined after {restarts} restart(s); root cause: {cause}"
-            ),
         }
     }
 }

@@ -337,8 +337,8 @@ pub(crate) type InstanceHandle = (usize, usize, JoinHandle<Result<()>>);
 ///
 /// When `local` is `Some`, only the instances it contains are spawned (the
 /// distributed placement case) — their downstream edges may then resolve to
-/// remote proxy senders through `transport`. `emitted_counters` is shared
-/// across attempts: source instances publish their running offset there so
+/// remote proxy senders through `transport`. Source instances publish their
+/// running offset in `emitted_counters`, starting at the restored one, so
 /// the supervisor can account replay after a failure.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_instances(
@@ -979,7 +979,7 @@ fn report_part(
     Ok(())
 }
 
-/// Everything one attempt reported back to its driver.
+/// Everything one attempt reported back to its supervisor.
 pub(crate) struct Attempt {
     /// `Err` holds the root cause of a failed attempt.
     pub(crate) outcome: std::result::Result<(), EngineError>,
@@ -987,9 +987,12 @@ pub(crate) struct Attempt {
     pub(crate) reports: Vec<Report>,
     /// Counters of every instance that finished.
     pub(crate) op_stats: Vec<InstanceStats>,
-    /// Every instance's emitted-counter value after the join (the source
-    /// offsets reached), indexed by instance id.
+    /// The source offsets this attempt reached, indexed by instance id; an
+    /// instance that reported nothing keeps the position it was restored to.
     pub(crate) offsets: Vec<u64>,
+    /// Sink deliveries this attempt was seen to make, reported or not (the
+    /// distributed heartbeat count; `0` where every delivery is reported).
+    pub(crate) delivered_seen: u64,
 }
 
 /// Run one attempt of the whole plan in this process: every instance over a
@@ -1002,11 +1005,15 @@ pub(crate) fn run_local_attempt(
     settings: &ExecSettings,
     injector: Option<FaultInjector>,
     restore: &HashMap<usize, Vec<u8>>,
-    emitted_counters: &Arc<Vec<AtomicU64>>,
     start: Instant,
     tel: Option<&RunTelemetry>,
     restarted: bool,
 ) -> Result<Attempt> {
+    let emitted: Arc<Vec<AtomicU64>> = Arc::new(
+        (0..plan.instance_count())
+            .map(|_| AtomicU64::new(0))
+            .collect(),
+    );
     let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..plan.instance_count())
         .map(|_| {
             let (tx, rx) = bounded::<Envelope>(settings.run.frame_capacity());
@@ -1024,7 +1031,7 @@ pub(crate) fn run_local_attempt(
         settings,
         injector,
         restore,
-        emitted_counters,
+        &emitted,
         RunClock::Local(start),
         &reporters,
         tel,
@@ -1041,10 +1048,8 @@ pub(crate) fn run_local_attempt(
         outcome,
         reports: reports.coord.iter().collect(),
         op_stats: reports.stats.iter().collect(),
-        offsets: emitted_counters
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst))
-            .collect(),
+        offsets: emitted.iter().map(|c| c.load(Ordering::SeqCst)).collect(),
+        delivered_seen: 0,
     })
 }
 
@@ -1258,14 +1263,12 @@ mod tests {
             exactly_once: true,
             ckpt_interval: 64,
         };
-        let emitted = Arc::new((0..2).map(|_| AtomicU64::new(0)).collect());
         let attempt = run_local_attempt(
             &plan,
             &[VecSource::new(rows)],
             &settings,
             None,
             &restore,
-            &emitted,
             Instant::now(),
             None,
             true,

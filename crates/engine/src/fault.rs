@@ -18,18 +18,21 @@
 //! appended to one log per sink, never to a snapshot.
 //!
 //! The per-attempt worker loops live in `crate::exec` and are shared with
-//! the threaded and distributed runtimes — this module supervises
-//! single-process attempts (`crate::exec::run_local_attempt`, the same call
-//! `ThreadedRuntime` makes once with barriers off). The bookkeeping between
-//! attempts — parts, sink logs, recovery accounting — is `RestartLedger`,
-//! shared with the distributed coordinator.
+//! the threaded and distributed runtimes. So is the supervisor: `supervise`
+//! is the one attempt/restart loop — ledger, budget, backoff, recovery
+//! events — and each runtime only says how to run one attempt. `FtRuntime`
+//! runs single-process attempts (`crate::exec::run_local_attempt`);
+//! `ThreadedRuntime` runs the same attempt once, barriers off and no
+//! restart budget; the distributed coordinator runs a fleet of worker
+//! processes per attempt.
 //!
 //! UDO state is opaque to the engine and is *not* snapshotted; jobs with
 //! stateful UDOs recover with at-least-once semantics regardless of mode.
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    assemble, decode_position, encode_position, run_local_attempt, ExecSettings, Report, SinkState,
+    assemble, decode_position, encode_position, run_local_attempt, Attempt, ExecSettings, Report,
+    SinkState,
 };
 #[allow(unused_imports)] // referenced by the module docs
 use crate::message::Message;
@@ -38,7 +41,7 @@ use crate::runtime::{RunConfig, RunResult, SourceFactory};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -290,22 +293,21 @@ pub struct FtRunResult {
     pub recovery: RecoveryStats,
 }
 
-/// The bookkeeping of every driver: every checkpoint part and one delivery
+/// The bookkeeping of [`supervise`]: every checkpoint part and one delivery
 /// log per sink instance, across attempts — the only copy of sink output.
 /// After a failure it restores the newest complete checkpoint, reconciles
-/// the logs with it and accounts what replay will repeat. Backoff,
-/// telemetry and giving up stay with the caller.
+/// the logs with it and accounts what replay will repeat.
 pub(crate) struct RestartLedger {
     /// Instances per checkpoint: a checkpoint is complete with this many parts.
     instances: usize,
     /// Checkpoint id -> instance id -> state bytes.
     parts: HashMap<u64, HashMap<usize, Vec<u8>>>,
     /// Everything each sink instance delivered, in delivery order.
-    pub(crate) logs: BTreeMap<usize, SinkState>,
+    logs: BTreeMap<usize, SinkState>,
     /// What the next attempt restores, by instance id (empty = cold start).
-    pub(crate) restore: HashMap<usize, Vec<u8>>,
+    restore: HashMap<usize, Vec<u8>>,
     /// Recovery accounting, returned with the run result.
-    pub(crate) stats: RecoveryStats,
+    stats: RecoveryStats,
 }
 
 impl RestartLedger {
@@ -408,6 +410,89 @@ impl RestartLedger {
     }
 }
 
+/// The one attempt/restart loop every runtime drives: run attempt 1 cold,
+/// and after each failed attempt restore the newest complete checkpoint,
+/// back off and run the next, until an attempt succeeds or `policy`'s
+/// budget runs out — then the failed attempt's own root cause surfaces.
+/// `attempt(n, restore)` runs attempt `n` (1-based) from `restore`; its
+/// `Err` is a non-retryable setup failure. Flight events go to `tel`.
+pub(crate) fn supervise(
+    plan: &PhysicalPlan,
+    mode: DeliveryMode,
+    policy: &RestartPolicy,
+    capture_limit: usize,
+    start: Instant,
+    tel: Option<&RunTelemetry>,
+    mut attempt: impl FnMut(usize, &HashMap<usize, Vec<u8>>) -> Result<Attempt>,
+) -> Result<FtRunResult> {
+    let record = |kind, text: String| {
+        if let Some(t) = tel {
+            t.recorder.record(kind, 0, 0, text);
+        }
+    };
+    let mut ledger = RestartLedger::new(plan.instance_count(), mode);
+    loop {
+        ledger.stats.attempts += 1;
+        // What this attempt's sinks resume from.
+        let resumed = ledger.delivered();
+        let att = attempt(ledger.stats.attempts, &ledger.restore)?;
+        ledger.record(att.reports);
+        let root = match att.outcome {
+            Ok(()) => {
+                let result = assemble(
+                    plan,
+                    capture_limit,
+                    std::mem::take(&mut ledger.logs),
+                    &att.op_stats,
+                    &att.offsets,
+                    start,
+                );
+                ledger.stats.late_tuples = result.total_late();
+                record(
+                    FlightEventKind::RunFinished,
+                    format!(
+                        "{} tuples delivered after {} attempt(s)",
+                        result.tuples_out, ledger.stats.attempts
+                    ),
+                );
+                return Ok(FtRunResult {
+                    result,
+                    recovery: ledger.stats,
+                });
+            }
+            Err(root) => root,
+        };
+        let detected = Instant::now();
+        let restarts_used = ledger.stats.attempts - 1;
+        if restarts_used >= policy.max_restarts {
+            if let Some(t) = tel.filter(|t| t.config.dump_on_error) {
+                t.recorder.dump_to_stderr(&format!(
+                    "restart budget exhausted ({restarts_used} restarts): {root}"
+                ));
+            }
+            return Err(root);
+        }
+        // A SIGKILL takes unsent deltas with it: heartbeats may know of more
+        // deliveries than the logs hold.
+        let at_failure = ledger.delivered().max(resumed + att.delivered_seen);
+        let restored = ledger.restart(plan, &att.offsets, at_failure)?;
+        record(
+            FlightEventKind::RecoveryStarted,
+            match restored {
+                Some(id) => format!("restoring checkpoint {id}: {root}"),
+                None => format!("cold restart (no complete checkpoint): {root}"),
+            },
+        );
+        std::thread::sleep(policy.delay(restarts_used));
+        let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
+        ledger.stats.recovery_times_ms.push(recovery_ms);
+        record(
+            FlightEventKind::RestartCompleted,
+            format!("restart {} after {recovery_ms:.2} ms", restarts_used + 1),
+        );
+    }
+}
+
 /// The supervising fault-tolerant executor.
 pub struct FtRuntime {
     config: FtConfig,
@@ -457,94 +542,32 @@ impl FtRuntime {
             );
         }
         let start = Instant::now();
-        let emitted: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         let settings = ExecSettings {
             run: self.config.run.clone(),
             exactly_once: self.config.mode == DeliveryMode::ExactlyOnce,
             ckpt_interval: self.config.checkpoint_interval_tuples,
         };
-        let mut ledger = RestartLedger::new(n, self.config.mode);
-
-        loop {
-            ledger.stats.attempts += 1;
-            let attempt = run_local_attempt(
-                plan,
-                sources,
-                &settings,
-                injector.clone(),
-                &ledger.restore,
-                &emitted,
-                start,
-                tel,
-                ledger.stats.attempts > 1,
-            )?;
-            ledger.record(attempt.reports);
-            let root = match attempt.outcome {
-                Ok(()) => {
-                    let result = assemble(
-                        plan,
-                        self.config.run.capture_limit,
-                        std::mem::take(&mut ledger.logs),
-                        &attempt.op_stats,
-                        &attempt.offsets,
-                        start,
-                    );
-                    ledger.stats.late_tuples = result.total_late();
-                    if let Some(t) = tel {
-                        t.recorder.record(
-                            FlightEventKind::RunFinished,
-                            0,
-                            0,
-                            format!(
-                                "{} tuples delivered after {} attempt(s)",
-                                result.tuples_out, ledger.stats.attempts
-                            ),
-                        );
-                    }
-                    return Ok(FtRunResult {
-                        result,
-                        recovery: ledger.stats,
-                    });
-                }
-                Err(root) => root,
-            };
-            let detected = Instant::now();
-            let restarts_used = ledger.stats.attempts - 1;
-            if restarts_used >= self.config.restart.max_restarts {
-                if let Some(t) = tel {
-                    if t.config.dump_on_error {
-                        t.recorder.dump_to_stderr(&format!(
-                            "restart budget exhausted ({} restarts): {root}",
-                            restarts_used
-                        ));
-                    }
-                }
-                return Err(root);
-            }
-            let restored = ledger.restart(plan, &attempt.offsets, ledger.delivered())?;
-            if let Some(t) = tel {
-                t.recorder.record(
-                    FlightEventKind::RecoveryStarted,
-                    0,
-                    0,
-                    match restored {
-                        Some(id) => format!("restoring checkpoint {id}: {root}"),
-                        None => format!("cold restart (no complete checkpoint): {root}"),
-                    },
-                );
-            }
-            std::thread::sleep(self.config.restart.delay(restarts_used));
-            let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
-            ledger.stats.recovery_times_ms.push(recovery_ms);
-            if let Some(t) = tel {
-                t.recorder.record(
-                    FlightEventKind::RestartCompleted,
-                    0,
-                    0,
-                    format!("restart {} after {recovery_ms:.2} ms", restarts_used + 1),
-                );
-            }
-        }
+        supervise(
+            plan,
+            self.config.mode,
+            &self.config.restart,
+            self.config.run.capture_limit,
+            start,
+            tel,
+            |attempt, restore| {
+                let inj = injector.clone();
+                run_local_attempt(
+                    plan,
+                    sources,
+                    &settings,
+                    inj,
+                    restore,
+                    start,
+                    tel,
+                    attempt > 1,
+                )
+            },
+        )
     }
 }
 
@@ -614,6 +637,87 @@ mod tests {
             ..FtConfig::default()
         };
         assert!(bad_run.validate().is_err());
+    }
+
+    /// One source feeding one sink, driven through `supervise` by a script:
+    /// attempt 1 reaches offset 900 with checkpoint 1 (offset 300) complete,
+    /// attempt 2 reaches 600, attempt 3 runs to 1 000. Replay is counted
+    /// from the offsets each failed attempt reached, not from the furthest
+    /// any attempt reached.
+    #[test]
+    fn replay_after_a_second_failure_counts_each_attempts_own_offsets() {
+        use crate::builder::PlanBuilder;
+        use crate::value::{FieldType, Schema, Tuple, Value};
+        let logical = PlanBuilder::new()
+            .source("src", Schema::of(&[FieldType::Int]), 1)
+            .sink("sink")
+            .build()
+            .unwrap();
+        let plan = PhysicalPlan::expand(&logical).unwrap();
+        let (src, sink) = (plan.source_instances()[0], plan.sink_instances()[0]);
+        let rows = |r: std::ops::Range<i64>| -> Vec<Tuple> {
+            r.map(|i| Tuple::new(vec![Value::Int(i)])).collect()
+        };
+        let delivered = |r: std::ops::Range<i64>| {
+            let latencies = r.clone().map(|_| 1).collect();
+            Report::Delivered(
+                sink,
+                SinkState {
+                    captured: rows(r),
+                    latencies,
+                },
+            )
+        };
+        let fault = |instance| Err(EngineError::FaultInjected { node: 0, instance });
+        let attempt = |reports, reached: u64, outcome| Attempt {
+            outcome,
+            reports,
+            op_stats: Vec::new(),
+            offsets: vec![reached, 0],
+            delivered_seen: 0,
+        };
+        let script = |n: usize, restore: &HashMap<usize, Vec<u8>>| {
+            let at = |inst| decode_position(restore.get(&inst), "position").unwrap();
+            if n > 1 {
+                assert_eq!((at(src), at(sink)), (300, 300), "attempt {n} restore");
+            }
+            Ok(match n {
+                1 => {
+                    let part = |inst| Report::Part(1, inst, encode_position(300));
+                    let reports = vec![
+                        delivered(0..300),
+                        part(src),
+                        part(sink),
+                        delivered(300..900),
+                    ];
+                    attempt(reports, 900, fault(0))
+                }
+                2 => attempt(vec![delivered(300..600)], 600, fault(1)),
+                _ => attempt(vec![delivered(300..1_000)], 1_000, Ok(())),
+            })
+        };
+        let run = |max_restarts| {
+            let policy = RestartPolicy {
+                max_restarts,
+                backoff: Backoff::Fixed(Duration::ZERO),
+            };
+            let mode = DeliveryMode::ExactlyOnce;
+            supervise(&plan, mode, &policy, 10_000, Instant::now(), None, script)
+        };
+        let done = run(3).unwrap();
+        let r = &done.recovery;
+        assert_eq!((r.attempts, r.restored_checkpoint), (3, Some(1)));
+        assert_eq!(r.replayed_tuples, (900 - 300) + (600 - 300));
+        assert_eq!(r.rolled_back_tuples, (900 - 300) + (600 - 300));
+        assert_eq!((r.duplicate_tuples, r.recovery_times_ms.len()), (0, 2));
+        // Each restart cut the sink log back to the checkpoint's 300, so the
+        // output is every row once, in order.
+        assert_eq!(done.result.tuples_out, 1_000);
+        assert_eq!(done.result.sink_tuples, rows(0..1_000));
+
+        let err = run(1).expect_err("one restart allowed, two failures");
+        let second = matches!(err, EngineError::FaultInjected { instance: 1, .. });
+        assert!(second, "the second failure surfaces: {err}");
     }
 
     #[test]

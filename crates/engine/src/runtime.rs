@@ -5,20 +5,19 @@
 //! on each tuple; sinks compute end-to-end latency on delivery — the
 //! paper's end-to-end latency definition (source production to sink
 //! delivery, §4 Metrics). The worker loops are the execution core in
-//! `crate::exec`, shared with the fault-tolerant and distributed backends;
-//! `ThreadedRuntime` runs them once with checkpoint barriers off.
+//! `crate::exec`, shared with the fault-tolerant and distributed backends,
+//! and so is the supervisor (`crate::fault::supervise`): `ThreadedRuntime`
+//! runs one attempt with checkpoint barriers off and no restart budget.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{assemble, run_local_attempt, ExecSettings};
-use crate::fault::{DeliveryMode, RestartLedger};
+use crate::exec::{run_local_attempt, ExecSettings};
+use crate::fault::{supervise, Backoff, DeliveryMode, RestartPolicy};
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::pressure::OverloadConfig;
 use crate::value::Tuple;
 use pdsp_telemetry::{FlightEventKind, RunTelemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -280,8 +279,9 @@ impl ThreadedRuntime {
         self.run_inner(plan, sources, Some(tel))
     }
 
-    /// One attempt of the shared execution core with barriers off: no
-    /// checkpoint, no injector, nothing to restore.
+    /// One attempt of the shared execution core under the shared
+    /// supervisor, with barriers off and no restart: no checkpoint, no
+    /// injector, nothing to restore, and the first failure surfaces.
     fn run_inner(
         &self,
         plan: &PhysicalPlan,
@@ -289,8 +289,8 @@ impl ThreadedRuntime {
         tel: Option<&RunTelemetry>,
     ) -> Result<RunResult> {
         self.config.validate()?;
-        let n = plan.instance_count();
         if let Some(t) = tel {
+            let n = plan.instance_count();
             t.recorder
                 .record(FlightEventKind::RunStarted, 0, 0, format!("{n} instances"));
         }
@@ -300,46 +300,22 @@ impl ThreadedRuntime {
             exactly_once: false,
             ckpt_interval: 0,
         };
-        let emitted: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let attempt = run_local_attempt(
+        let once = RestartPolicy {
+            max_restarts: 0,
+            backoff: Backoff::Fixed(Duration::ZERO),
+        };
+        let run = supervise(
             plan,
-            sources,
-            &settings,
-            None,
-            &HashMap::new(),
-            &emitted,
+            DeliveryMode::AtLeastOnce,
+            &once,
+            self.config.capture_limit,
             start,
             tel,
-            false,
+            |_, restore| {
+                run_local_attempt(plan, sources, &settings, None, restore, start, tel, false)
+            },
         )?;
-        if let Err(e) = attempt.outcome {
-            if let Some(t) = tel {
-                if t.config.dump_on_error {
-                    t.recorder.dump_to_stderr(&e.to_string());
-                }
-            }
-            return Err(e);
-        }
-        // Barriers are off: each sink's one end-of-run delta is its log.
-        let mut ledger = RestartLedger::new(n, DeliveryMode::AtLeastOnce);
-        ledger.record(attempt.reports);
-        let result = assemble(
-            plan,
-            self.config.capture_limit,
-            ledger.logs,
-            &attempt.op_stats,
-            &attempt.offsets,
-            start,
-        );
-        if let Some(t) = tel {
-            t.recorder.record(
-                FlightEventKind::RunFinished,
-                0,
-                0,
-                format!("{} tuples delivered", result.tuples_out),
-            );
-        }
-        Ok(result)
+        Ok(run.result)
     }
 }
 

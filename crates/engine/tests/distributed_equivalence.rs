@@ -192,6 +192,26 @@ fn sigkill_mid_run_is_exactly_once_equivalent() {
     );
 }
 
+/// Past the restart budget the failed attempt's own root cause surfaces, as
+/// it does in-process: here the killed worker, named by its lapsed lease.
+#[test]
+fn distributed_restart_budget_exhaustion_surfaces_the_root_error() {
+    let mut cfg = dist_config(RunConfig::default(), 2);
+    cfg.ft.restart.max_restarts = 0;
+    cfg.kill = Some(KillSpec {
+        worker: 1,
+        after_ms: 0,
+    });
+    // Paced sources keep the run alive well past the kill.
+    let err = DistributedRuntime::new(cfg)
+        .run("seeded:0:8192:2")
+        .expect_err("a zero restart budget makes the kill terminal");
+    assert!(
+        matches!(err, EngineError::WorkerLost { worker: 1, .. }),
+        "got {err}"
+    );
+}
+
 /// Severed data connections mid-run (half-open peers, partial frames) must
 /// degrade into a supervised restart, not a hang or a wrong answer.
 #[test]

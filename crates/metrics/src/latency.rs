@@ -5,11 +5,8 @@
 //! kilobytes per recorder, growing with the requested cap). The hot path is
 //! now O(1) memory: once the bootstrap buffer fills, samples only land in a
 //! fixed-size [`HistogramSnapshot`] whose quantiles are exact to the
-//! documented [`pdsp_telemetry::QUANTILE_RELATIVE_ERROR`] (6.25%). Exact
-//! full-sample percentiles remain available behind the test-only
-//! `exact-percentiles` cargo feature.
+//! documented [`pdsp_telemetry::QUANTILE_RELATIVE_ERROR`] (6.25%).
 
-use crate::percentile::exact_percentile;
 use pdsp_telemetry::HistogramSnapshot;
 
 /// Hard cap on the exact bootstrap buffer, regardless of the requested
@@ -29,10 +26,6 @@ pub struct LatencyRecorder {
     sum: f64,
     min: f64,
     max: f64,
-    /// Full sample set, kept only when exact percentiles are compiled in
-    /// (test-only feature; unbounded memory by design).
-    #[cfg(feature = "exact-percentiles")]
-    all: Vec<f64>,
 }
 
 impl Default for LatencyRecorder {
@@ -53,8 +46,6 @@ impl LatencyRecorder {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            #[cfg(feature = "exact-percentiles")]
-            all: Vec::new(),
         }
     }
 
@@ -68,8 +59,6 @@ impl LatencyRecorder {
             self.bootstrap.push(ms);
         }
         self.hist_ns.record((ms * 1e6).max(0.0) as u64);
-        #[cfg(feature = "exact-percentiles")]
-        self.all.push(ms);
     }
 
     /// Record a latency in nanoseconds.
@@ -106,30 +95,33 @@ impl LatencyRecorder {
 
     /// Percentile (p in `[0, 100]`): exact while all samples fit the
     /// bootstrap buffer, histogram estimate (≤6.25% relative error)
-    /// afterwards. With the `exact-percentiles` feature every query is
-    /// exact.
+    /// afterwards.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        #[cfg(feature = "exact-percentiles")]
-        {
-            return exact_percentile(&self.all, p);
+        if self.count == 0 {
+            return None;
         }
-        #[cfg(not(feature = "exact-percentiles"))]
-        {
-            if self.count == 0 {
-                return None;
-            }
-            if self.count as usize <= self.bootstrap.len() {
-                return exact_percentile(&self.bootstrap, p);
-            }
-            let q = (p / 100.0).clamp(0.0, 1.0);
-            Some(self.hist_ns.quantile(q) as f64 / 1e6)
+        if self.count as usize <= self.bootstrap.len() {
+            return exact_percentile(&self.bootstrap, p);
         }
+        let q = (p / 100.0).clamp(0.0, 1.0);
+        Some(self.hist_ns.quantile(q) as f64 / 1e6)
     }
 
     /// Median (p50) in ms — the paper's reported metric.
     pub fn median(&self) -> Option<f64> {
         self.percentile(50.0)
     }
+}
+
+/// Exact percentile over a sorted copy (the bootstrap phase's answer).
+fn exact_percentile(samples: &[f64], p: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut v: Vec<f64> = samples.to_vec();
+    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let rank = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
+    Some(v[rank.min(v.len() - 1)])
 }
 
 #[cfg(test)]
@@ -188,15 +180,12 @@ mod tests {
         assert_eq!(r.count(), 0);
     }
 
-    #[cfg(feature = "exact-percentiles")]
     #[test]
-    fn exact_feature_is_exact_past_the_bootstrap() {
-        let mut r = LatencyRecorder::new(10);
-        for i in 1..=10_000 {
-            r.record_ms(i as f64);
-        }
-        // Exact rank round(0.5 * 9999) = 5000 → the 5001st sample.
-        assert_eq!(r.median(), Some(5001.0));
-        assert_eq!(r.percentile(99.0), Some(9900.0));
+    fn exact_percentile_basics() {
+        let v = [5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(exact_percentile(&v, 50.0), Some(3.0));
+        assert_eq!(exact_percentile(&v, 0.0), Some(1.0));
+        assert_eq!(exact_percentile(&v, 100.0), Some(5.0));
+        assert_eq!(exact_percentile(&[], 50.0), None);
     }
 }

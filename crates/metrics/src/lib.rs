@@ -1,18 +1,11 @@
 //! # pdsp-metrics
 //!
-//! Performance metric collection for PDSP-Bench: latency distributions
-//! (exact and streaming P² percentile estimation), throughput windows, and
-//! the paper's measurement protocol — the *mean of three runs of the median
-//! (50th percentile) end-to-end latency* (§4, Metrics).
+//! Performance metric collection for PDSP-Bench: bounded-memory latency
+//! distributions and the paper's measurement protocol — the *mean of three
+//! runs of the median (50th percentile) end-to-end latency* (§4, Metrics).
 
 pub mod latency;
-pub mod percentile;
-pub mod recovery;
 pub mod summary;
-pub mod throughput;
 
 pub use latency::LatencyRecorder;
-pub use percentile::P2Quantile;
-pub use recovery::{LatencyTimeline, RecoveryRecorder};
 pub use summary::{MeasurementProtocol, RunSummary};
-pub use throughput::ThroughputMeter;
