@@ -11,7 +11,7 @@ use crate::registry::AppInfo;
 use pdsp_engine::expr::{CmpOp, Predicate};
 use pdsp_engine::operator::OpKind;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, KeyHashBuilder, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::{Partitioning, PlanBuilder};
 use std::collections::{HashMap, VecDeque};
@@ -26,9 +26,20 @@ const CTR_EMIT_EVERY: u64 = 16;
 /// impression-click records.
 pub struct CtrAggregator;
 
+/// One ad's sliding CTR window.
+#[derive(Default)]
+struct AdWindow {
+    /// Joined events in the window, (event time, clicked), oldest first.
+    history: VecDeque<(i64, bool)>,
+    /// Clicked events in `history`: added on push, subtracted on eviction,
+    /// so a report costs O(1) rather than a recount of the window.
+    clicks: usize,
+    /// Joined events seen for this ad.
+    joined: u64,
+}
+
 struct CtrState {
-    /// ad -> (event history (time, clicked), joined count).
-    ads: HashMap<i64, (VecDeque<(i64, bool)>, u64)>,
+    ads: HashMap<i64, AdWindow, KeyHashBuilder>,
 }
 
 impl Udo for CtrState {
@@ -40,17 +51,21 @@ impl Udo for CtrState {
         ) else {
             return;
         };
-        let (history, count) = self.ads.entry(ad).or_insert((VecDeque::new(), 0));
-        history.push_back((tuple.event_time, clicked != 0));
-        *count += 1;
+        let w = self.ads.entry(ad).or_default();
+        w.history.push_back((tuple.event_time, clicked != 0));
+        w.clicks += usize::from(clicked != 0);
+        w.joined += 1;
         // Evict events outside the sliding extent.
         let horizon = tuple.event_time - CTR_WINDOW_MS;
-        while history.front().is_some_and(|&(t, _)| t < horizon) {
-            history.pop_front();
+        while let Some(&(t, c)) = w.history.front() {
+            if t >= horizon {
+                break;
+            }
+            w.history.pop_front();
+            w.clicks -= usize::from(c);
         }
-        if *count % CTR_EMIT_EVERY == 0 && !history.is_empty() {
-            let clicks = history.iter().filter(|&&(_, c)| c).count();
-            let ctr = clicks as f64 / history.len() as f64;
+        if w.joined.is_multiple_of(CTR_EMIT_EVERY) && !w.history.is_empty() {
+            let ctr = w.clicks as f64 / w.history.len() as f64;
             out.push(Tuple {
                 values: vec![Value::Int(ad), Value::Double(ctr)],
                 event_time: tuple.event_time,
@@ -66,7 +81,7 @@ impl UdoFactory for CtrAggregator {
     }
     fn create(&self) -> Box<dyn Udo> {
         Box::new(CtrState {
-            ads: HashMap::new(),
+            ads: HashMap::default(),
         })
     }
     fn cost_profile(&self) -> CostProfile {
@@ -204,7 +219,7 @@ mod tests {
     #[test]
     fn ctr_reflects_click_fraction() {
         let mut s = CtrState {
-            ads: HashMap::new(),
+            ads: HashMap::default(),
         };
         let mut out = Vec::new();
         // 16 events: 4 clicked -> CTR 0.25 at the emit point.
@@ -218,7 +233,7 @@ mod tests {
     #[test]
     fn sliding_window_evicts_old_events() {
         let mut s = CtrState {
-            ads: HashMap::new(),
+            ads: HashMap::default(),
         };
         let mut out = Vec::new();
         // 15 clicked events long ago, then 16 unclicked within the window.
@@ -234,6 +249,40 @@ mod tests {
             Value::Double(0.0),
             "old clicks evicted from the sliding window"
         );
+    }
+
+    #[test]
+    fn reports_equal_a_recount_of_the_retained_history() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xc7a);
+        let mut s = CtrState {
+            ads: HashMap::default(),
+        };
+        let mut out = Vec::new();
+        let mut et = 0i64;
+        let mut reports = 0;
+        // ~60 s of event time over 5 ads: each ad's history crosses the
+        // 2 s horizon dozens of times, with bursts and jittered order.
+        for _ in 0..20_000 {
+            et += rng.gen_range(0..6i64);
+            let jitter = rng.gen_range(0..40i64);
+            let ad = rng.gen_range(0..5i64);
+            let tuple = joined(ad, et - jitter, rng.gen_bool(0.3));
+            out.clear();
+            s.on_tuple(0, tuple, &mut out);
+            let w = &s.ads[&ad];
+            let recount = w.history.iter().filter(|&&(_, c)| c).count();
+            assert_eq!(w.clicks, recount, "running click count drifted");
+            for report in &out {
+                let want = recount as f64 / w.history.len() as f64;
+                let got = report.values[1].as_f64().unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "report at {et}");
+                reports += 1;
+            }
+        }
+        assert!(reports > 1_000, "the stream must exercise the reports");
+        let retained: usize = s.ads.values().map(|w| w.history.len()).sum();
+        assert!(retained < 4_000, "most events must have been evicted");
     }
 
     #[test]

@@ -676,7 +676,13 @@ pub(crate) fn spawn_instances(
                             Polled::Buffered => continue,
                         };
                         let work = probe.mark_idle(wait);
-                        let depth = rx.len();
+                        // The queue depth takes the channel lock: read it
+                        // only for the probe or the overload gauge.
+                        let depth = if probe.enabled() || gauge.is_some() {
+                            rx.len()
+                        } else {
+                            0
+                        };
                         if probe.enabled() {
                             probe.queue_depth(depth);
                         }

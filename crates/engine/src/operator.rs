@@ -503,28 +503,28 @@ impl OperatorInstance for FlatMapSplitInstance {
     }
 }
 
+/// Window results as `[key,] window_end, value` tuples (an empty window
+/// reports 0).
+fn emit_window_results(results: Vec<crate::window::WindowResult>, out: &mut Vec<Tuple>) {
+    for r in results {
+        let mut values = Vec::with_capacity(3);
+        if let Some(k) = r.key {
+            values.push(k);
+        }
+        values.push(Value::Timestamp(r.window_end));
+        values.push(Value::Double(r.value.unwrap_or(0.0)));
+        out.push(Tuple {
+            values,
+            event_time: r.event_time,
+            emit_ns: r.emit_ns,
+        });
+    }
+}
+
 struct WindowAggInstance {
     windower: KeyedWindower,
     agg_field: usize,
     key_field: Option<usize>,
-}
-
-impl WindowAggInstance {
-    fn emit(&self, results: Vec<crate::window::WindowResult>, out: &mut Vec<Tuple>) {
-        for r in results {
-            let mut values = Vec::with_capacity(3);
-            if let Some(k) = r.key {
-                values.push(k);
-            }
-            values.push(Value::Timestamp(r.window_end));
-            values.push(Value::Double(r.value.unwrap_or(0.0)));
-            out.push(Tuple {
-                values,
-                event_time: r.event_time,
-                emit_ns: r.emit_ns,
-            });
-        }
-    }
 }
 
 impl OperatorInstance for WindowAggInstance {
@@ -538,23 +538,23 @@ impl OperatorInstance for WindowAggInstance {
             })?
             .as_f64()
             .unwrap_or(1.0); // strings aggregate as presence (count-style)
-        let key = self.key_field.and_then(|k| tuple.values.get(k)).cloned();
+        let key = self.key_field.and_then(|k| tuple.values.get(k));
         let mut results = Vec::new();
-        self.windower.push(key.as_ref(), v, &tuple, &mut results);
-        self.emit(results, out);
+        self.windower.push(key, v, &tuple, &mut results);
+        emit_window_results(results, out);
         Ok(())
     }
 
     fn on_watermark(&mut self, watermark: i64, out: &mut Vec<Tuple>) {
         let mut results = Vec::new();
         self.windower.on_watermark(watermark, &mut results);
-        self.emit(results, out);
+        emit_window_results(results, out);
     }
 
     fn on_flush(&mut self, out: &mut Vec<Tuple>) {
         let mut results = Vec::new();
         self.windower.flush(&mut results);
-        self.emit(results, out);
+        emit_window_results(results, out);
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {
@@ -584,24 +584,6 @@ struct SessionAggInstance {
     key_field: Option<usize>,
 }
 
-impl SessionAggInstance {
-    fn emit(&self, results: Vec<crate::window::WindowResult>, out: &mut Vec<Tuple>) {
-        for r in results {
-            let mut values = Vec::with_capacity(3);
-            if let Some(k) = r.key {
-                values.push(k);
-            }
-            values.push(Value::Timestamp(r.window_end));
-            values.push(Value::Double(r.value.unwrap_or(0.0)));
-            out.push(Tuple {
-                values,
-                event_time: r.event_time,
-                emit_ns: r.emit_ns,
-            });
-        }
-    }
-}
-
 impl OperatorInstance for SessionAggInstance {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, out: &mut Vec<Tuple>) -> Result<()> {
         let v = tuple
@@ -613,23 +595,23 @@ impl OperatorInstance for SessionAggInstance {
             })?
             .as_f64()
             .unwrap_or(1.0);
-        let key = self.key_field.and_then(|k| tuple.values.get(k)).cloned();
+        let key = self.key_field.and_then(|k| tuple.values.get(k));
         let mut results = Vec::new();
-        self.windower.push(key.as_ref(), v, &tuple, &mut results);
-        self.emit(results, out);
+        self.windower.push(key, v, &tuple, &mut results);
+        emit_window_results(results, out);
         Ok(())
     }
 
     fn on_watermark(&mut self, watermark: i64, out: &mut Vec<Tuple>) {
         let mut results = Vec::new();
         self.windower.on_watermark(watermark, &mut results);
-        self.emit(results, out);
+        emit_window_results(results, out);
     }
 
     fn on_flush(&mut self, out: &mut Vec<Tuple>) {
         let mut results = Vec::new();
         self.windower.flush(&mut results);
-        self.emit(results, out);
+        emit_window_results(results, out);
     }
 
     fn snapshot(&self) -> Result<Vec<u8>> {

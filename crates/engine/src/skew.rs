@@ -21,8 +21,8 @@
 use crate::agg::AggFunc;
 use crate::operator::OpKind;
 use crate::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use crate::value::{FieldType, KeyValue, Schema, Tuple, Value};
-use std::collections::{BTreeMap, HashMap};
+use crate::value::{FieldType, KeyMap, KeyValue, Schema, Tuple, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Merge function for finished partial window values.
@@ -68,12 +68,12 @@ pub struct WindowMergeUdo {
     /// window_end -> key -> merged partial; the BTreeMap lets watermark
     /// release drain a window-end prefix, and keys are sorted at emission
     /// so one instance's output order is reproducible.
-    pending: BTreeMap<i64, HashMap<KeyValue, Partial>>,
+    pending: BTreeMap<i64, KeyMap<Partial>>,
     watermark: i64,
 }
 
 /// Drain one window end's partials in a deterministic (key-sorted) order.
-fn drain_sorted(keys: HashMap<KeyValue, Partial>) -> Vec<(KeyValue, Partial)> {
+fn drain_sorted(keys: KeyMap<Partial>) -> Vec<(KeyValue, Partial)> {
     let mut v: Vec<(KeyValue, Partial)> = keys.into_iter().collect();
     v.sort_by(|(a, _), (b, _)| format!("{:?}", a.0).cmp(&format!("{:?}", b.0)));
     v

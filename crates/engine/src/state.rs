@@ -6,23 +6,29 @@
 //! opposite side on arrival.
 
 use crate::error::Result;
-use crate::value::{KeyValue, Tuple, Value};
+use crate::value::{KeyMap, KeyValue, Tuple};
 use crate::window::{decode_snapshot, WindowPolicy, WindowSpec};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One side of a symmetric hash join.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 struct JoinSide {
     /// key -> buffered tuples (oldest first).
-    buckets: HashMap<KeyValue, VecDeque<Tuple>>,
+    buckets: KeyMap<VecDeque<Tuple>>,
     /// Total buffered tuples across keys (state-size accounting).
     len: usize,
 }
 
 impl JoinSide {
-    fn insert(&mut self, key: Value, tuple: Tuple, max_per_key: Option<usize>) {
-        let bucket = self.buckets.entry(KeyValue(key)).or_default();
+    /// Buffer `tuple` under its field `key_idx`, which the caller checked
+    /// exists; the key is cloned only for a key not yet buffered.
+    fn insert(&mut self, key_idx: usize, tuple: Tuple, max_per_key: Option<usize>) {
+        let key = &tuple.values[key_idx];
+        let bucket = match self.buckets.get_mut(key) {
+            Some(bucket) => bucket,
+            None => self.buckets.entry(KeyValue(key.clone())).or_default(),
+        };
         bucket.push_back(tuple);
         self.len += 1;
         if let Some(cap) = max_per_key {
@@ -107,12 +113,12 @@ impl JoinState {
     /// Process a tuple arriving on `port` (0 = left, 1 = right); pushes
     /// concatenated join results into `out`.
     pub fn on_tuple(&mut self, port: usize, tuple: Tuple, out: &mut Vec<Tuple>) {
-        let (own_key_idx, other_key_idx) = if port == 0 {
-            (self.left_key, self.right_key)
+        let key_idx = if port == 0 {
+            self.left_key
         } else {
-            (self.right_key, self.left_key)
+            self.right_key
         };
-        let Some(key) = tuple.values.get(own_key_idx).cloned() else {
+        let Some(key) = tuple.values.get(key_idx) else {
             self.late += 1; // key field missing: tuple cannot participate
             return;
         };
@@ -132,8 +138,7 @@ impl JoinState {
 
         // Probe the opposite side.
         let probe = if port == 0 { &self.right } else { &self.left };
-        let _ = other_key_idx;
-        if let Some(bucket) = probe.buckets.get(&KeyValue(key.clone())) {
+        if let Some(bucket) = probe.buckets.get(key) {
             for other in bucket {
                 if self.spec.policy == WindowPolicy::Time {
                     let dt = (tuple.event_time - other.event_time).unsigned_abs();
@@ -167,7 +172,7 @@ impl JoinState {
         } else {
             &mut self.right
         };
-        side.insert(key, tuple, max_per_key);
+        side.insert(key_idx, tuple, max_per_key);
     }
 
     /// Watermark: evict time-window state that can no longer join.
@@ -219,6 +224,7 @@ struct JoinSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn t(key: i64, et: i64) -> Tuple {
         let mut t = Tuple::new(vec![Value::Int(key), Value::Int(et * 10)]);

@@ -6,9 +6,11 @@
 //! fan-out partitioning (broadcast, multi-consumer shuffles) clones cheaply.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// The type of a single tuple field.
@@ -157,6 +159,19 @@ impl PartialEq for Value {
                 _ => false,
             },
         }
+    }
+}
+
+/// Keyed state treats values as keys, with the caveats of [`KeyValue`]: a
+/// NaN `Double` never equals itself and never groups.
+impl Eq for Value {}
+
+/// Hashes [`Value::stable_hash`], as [`KeyValue`] does: `Int(1)` equals
+/// `Double(1.0)` yet the two hash apart, so keyed state keeps them as
+/// separate keys.
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.stable_hash());
     }
 }
 
@@ -319,20 +334,57 @@ impl Tuple {
 ///
 /// Equality follows [`Value::eq`]; the hash is [`Value::stable_hash`].
 /// `Double` keys containing NaN never compare equal and thus never group.
-#[derive(Debug, Clone)]
+/// It borrows as a [`Value`], so a [`KeyMap`] is probed with the tuple's
+/// own field and a key is cloned only when it is first inserted.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyValue(pub Value);
 
-impl PartialEq for KeyValue {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
+impl Borrow<Value> for KeyValue {
+    fn borrow(&self) -> &Value {
+        &self.0
     }
 }
-impl Eq for KeyValue {}
-impl Hash for KeyValue {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0.stable_hash());
+
+/// Finishes a hash that is already a well-mixed 64-bit word: one
+/// FxHash-style multiply, then a rotate so the low bits the table indexes
+/// by depend on every input bit (as rustc-hash 2 does). No random state, so
+/// a [`KeyMap`]'s iteration order depends only on what was inserted; and
+/// since [`Value::stable_hash`] is a fixed function, keys that collide
+/// under it collided under a seeded SipHash of it too.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
+
+/// The [`std::hash::BuildHasher`] of [`KeyMap`]. Maps keyed by plain
+/// integers the program generates (AD's ad ids) may use it too; unlike a
+/// `KeyMap`, such a map loses the seed a default `HashMap` would have.
+pub type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
+
+/// Keyed operator state: a map from [`KeyValue`] hashed by [`KeyHasher`].
+pub type KeyMap<V> = HashMap<KeyValue, V, KeyHashBuilder>;
 
 // Newtype-transparent serde (checkpoint snapshots of keyed state).
 impl Serialize for KeyValue {
@@ -428,13 +480,15 @@ mod tests {
 
     #[test]
     fn keyvalue_groups_equal_values() {
-        use std::collections::HashMap;
-        let mut m: HashMap<KeyValue, usize> = HashMap::new();
+        let mut m: KeyMap<usize> = KeyMap::default();
         *m.entry(KeyValue(Value::str("k"))).or_default() += 1;
         *m.entry(KeyValue(Value::str("k"))).or_default() += 1;
         *m.entry(KeyValue(Value::str("j"))).or_default() += 1;
         assert_eq!(m.len(), 2);
         assert_eq!(m[&KeyValue(Value::str("k"))], 2);
+        // Probing with a borrowed `Value` finds the same entry.
+        assert_eq!(m.get(&Value::str("k")), Some(&2));
+        assert_eq!(m.get(&Value::str("x")), None);
     }
 
     #[test]

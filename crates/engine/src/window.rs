@@ -8,9 +8,9 @@
 
 use crate::agg::{Accumulator, AggFunc};
 use crate::error::{EngineError, Result};
-use crate::value::{KeyValue, Tuple, Value};
+use crate::value::{KeyMap, KeyValue, Tuple, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Window type: tumbling (non-overlapping) or sliding (overlapping).
@@ -136,20 +136,64 @@ pub struct WindowResult {
     pub event_time: i64,
 }
 
-/// Per-key pane state for time windows.
+/// A pre-aggregated run of one key's tuples: a time pane covers `pane`
+/// ms of event time, a count pane `pane` consecutive tuples. Windows are
+/// merges of whole panes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct TimePane {
+struct Pane {
     acc: Accumulator,
     max_emit_ns: u64,
     max_event_time: i64,
+}
+
+impl Pane {
+    fn new(func: AggFunc) -> Self {
+        Pane {
+            acc: Accumulator::new(func),
+            max_emit_ns: 0,
+            max_event_time: i64::MIN,
+        }
+    }
+
+    fn push(&mut self, value: f64, tuple: &Tuple) {
+        self.acc.push(value);
+        self.max_emit_ns = self.max_emit_ns.max(tuple.emit_ns);
+        self.max_event_time = self.max_event_time.max(tuple.event_time);
+    }
+
+    fn merge(&mut self, other: &Pane) {
+        self.acc.merge(&other.acc);
+        self.max_emit_ns = self.max_emit_ns.max(other.max_emit_ns);
+        self.max_event_time = self.max_event_time.max(other.max_event_time);
+    }
+
+    fn result(&self, key: Option<Value>, window_end: i64) -> WindowResult {
+        WindowResult {
+            key,
+            window_end,
+            value: self.acc.finish(),
+            count: self.acc.count(),
+            emit_ns: self.max_emit_ns,
+            event_time: self.max_event_time,
+        }
+    }
 }
 
 /// Per-key time-window state: panes plus the fire cursor (end of the next
 /// window to fire), preventing duplicate firings across watermarks.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct TimeKeyState {
-    panes: BTreeMap<i64, TimePane>,
+    panes: BTreeMap<i64, Pane>,
     next_end: Option<i64>,
+}
+
+/// Per-key count-window state: the panes of the current window, oldest
+/// first, the back one possibly still filling.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct CountKeyState {
+    panes: VecDeque<Pane>,
+    /// Tuples this key has seen.
+    seen: u64,
 }
 
 const fn gcd(a: u64, b: u64) -> u64 {
@@ -162,33 +206,27 @@ const fn gcd(a: u64, b: u64) -> u64 {
     a
 }
 
-/// Per-key buffer for count windows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CountBuf {
-    values: VecDeque<(f64, u64, i64)>, // (value, emit_ns, event_time)
-    seen: u64,
-    since_fire: u64,
-}
+/// The key of global (un-keyed) windows.
+static GLOBAL_KEY: Value = Value::Int(0);
 
 /// Keyed (or global) window aggregation state machine.
 ///
 /// Count windows fire synchronously on tuple arrival; time windows fire when
-/// the watermark passes a window end. Time windows use pane-based
-/// pre-aggregation so sliding windows cost O(panes) per fire rather than
-/// O(window contents).
+/// the watermark passes a window end. Both pre-aggregate into panes of
+/// gcd(length, slide) units, so a tuple costs one accumulator update and a
+/// fire merges `length / pane` panes rather than refolding the window's
+/// contents; a tumbling count window is one running accumulator per key.
 pub struct KeyedWindower {
     spec: WindowSpec,
     func: AggFunc,
-    /// Pane size for time windows: gcd(length, slide), so pane boundaries
+    /// Pane size in ms or tuples: gcd(length, slide), so pane boundaries
     /// align exactly with every window start *and* end even when the length
     /// is not a multiple of the slide (ratios like 0.3/0.7 in Table 3).
-    pane_ms: i64,
+    pane: u64,
     /// Time policy: key -> pane/cursor state.
-    time_state: HashMap<KeyValue, TimeKeyState>,
-    /// Count policy: key -> ring buffer.
-    count_state: HashMap<KeyValue, CountBuf>,
-    /// Key used for global (un-keyed) windows.
-    global_key: Value,
+    time_state: KeyMap<TimeKeyState>,
+    /// Count policy: key -> panes of the current window.
+    count_state: KeyMap<CountKeyState>,
     keyed: bool,
     /// Highest watermark observed; time-policy tuples behind it are late.
     watermark: i64,
@@ -209,10 +247,9 @@ impl KeyedWindower {
         KeyedWindower {
             spec,
             func,
-            pane_ms: gcd(spec.length.max(1), spec.slide.max(1)) as i64,
-            time_state: HashMap::new(),
-            count_state: HashMap::new(),
-            global_key: Value::Int(0),
+            pane: gcd(spec.length.max(1), spec.slide.max(1)),
+            time_state: KeyMap::default(),
+            count_state: KeyMap::default(),
             keyed,
             watermark: i64::MIN,
             allowed_lateness: 0,
@@ -248,6 +285,7 @@ impl KeyedWindower {
     }
 
     /// Ingest one (key, value) pair; count windows may fire immediately.
+    /// The key is cloned only when it is first seen or a window fires.
     pub fn push(
         &mut self,
         key: Option<&Value>,
@@ -255,10 +293,9 @@ impl KeyedWindower {
         tuple: &Tuple,
         out: &mut Vec<WindowResult>,
     ) {
-        let key = if self.keyed {
-            key.cloned().unwrap_or_else(|| self.global_key.clone())
-        } else {
-            self.global_key.clone()
+        let key = match key {
+            Some(k) if self.keyed => k,
+            _ => &GLOBAL_KEY,
         };
         match self.spec.policy {
             WindowPolicy::Time => {
@@ -272,22 +309,23 @@ impl KeyedWindower {
         }
     }
 
-    fn push_time(&mut self, key: Value, value: f64, tuple: &Tuple) {
-        let pane_start = tuple.event_time.div_euclid(self.pane_ms) * self.pane_ms;
+    fn push_time(&mut self, key: &Value, value: f64, tuple: &Tuple) {
+        let pane_ms = self.pane as i64;
+        let pane_start = tuple.event_time.div_euclid(pane_ms) * pane_ms;
         let func = self.func;
         // A tuple behind the watermark here is late-but-allowed (the drop
         // check already passed): its windows may have fired, so the cursor
         // must rewind to re-fire them as late updates.
         let is_late = tuple.event_time < self.watermark;
-        let state = self.time_state.entry(KeyValue(key)).or_default();
-        let pane = state.panes.entry(pane_start).or_insert_with(|| TimePane {
-            acc: Accumulator::new(func),
-            max_emit_ns: 0,
-            max_event_time: i64::MIN,
-        });
-        pane.acc.push(value);
-        pane.max_emit_ns = pane.max_emit_ns.max(tuple.emit_ns);
-        pane.max_event_time = pane.max_event_time.max(tuple.event_time);
+        let state = match self.time_state.get_mut(key) {
+            Some(state) => state,
+            None => self.time_state.entry(KeyValue(key.clone())).or_default(),
+        };
+        state
+            .panes
+            .entry(pane_start)
+            .or_insert_with(|| Pane::new(func))
+            .push(value, tuple);
         if is_late {
             // Earliest window end covering this pane: smallest k*slide +
             // length with k*slide > pane_start - length.
@@ -299,45 +337,43 @@ impl KeyedWindower {
         }
     }
 
-    fn push_count(&mut self, key: Value, value: f64, tuple: &Tuple, out: &mut Vec<WindowResult>) {
-        let len = self.spec.length as usize;
-        let slide = self.spec.slide;
-        let buf = self
-            .count_state
-            .entry(KeyValue(key.clone()))
-            .or_insert_with(|| CountBuf {
-                values: VecDeque::with_capacity(len.min(4096)),
-                seen: 0,
-                since_fire: 0,
-            });
-        buf.values
-            .push_back((value, tuple.emit_ns, tuple.event_time));
-        if buf.values.len() > len {
-            buf.values.pop_front();
+    fn push_count(&mut self, key: &Value, value: f64, tuple: &Tuple, out: &mut Vec<WindowResult>) {
+        let length = self.spec.length;
+        let slide = self.spec.slide.max(1);
+        let panes_per_window = (length / self.pane) as usize;
+        let func = self.func;
+        let state = match self.count_state.get_mut(key) {
+            Some(state) => state,
+            None => self.count_state.entry(KeyValue(key.clone())).or_default(),
+        };
+        if state
+            .panes
+            .back()
+            .is_none_or(|p| p.acc.count() >= self.pane)
+        {
+            state.panes.push_back(Pane::new(func));
         }
-        buf.seen += 1;
-        buf.since_fire += 1;
-        // Fire once the first full window exists, then every `slide` tuples.
-        let fire = buf.seen >= self.spec.length && buf.since_fire >= slide;
-        if fire {
-            buf.since_fire = 0;
-            let mut acc = Accumulator::new(self.func);
-            let mut max_emit = 0u64;
-            let mut max_et = i64::MIN;
-            for &(v, e, t) in &buf.values {
-                acc.push(v);
-                max_emit = max_emit.max(e);
-                max_et = max_et.max(t);
+        state
+            .panes
+            .back_mut()
+            .expect("a pane was just ensured")
+            .push(value, tuple);
+        // Keep the panes of the newest `length` tuples.
+        if state.panes.len() > panes_per_window {
+            state.panes.pop_front();
+        }
+        state.seen += 1;
+        // Fire once a full window exists and `slide` tuples have arrived,
+        // then every `slide` tuples. Both counts are multiples of the pane
+        // size, so at a fire every pane held is complete.
+        let first = length.max(slide);
+        if state.seen >= first && (state.seen - first).is_multiple_of(slide) {
+            let mut window = Pane::new(func);
+            for pane in &state.panes {
+                window.merge(pane);
             }
             self.fired += 1;
-            out.push(WindowResult {
-                key: if self.keyed { Some(key) } else { None },
-                window_end: buf.seen as i64,
-                value: acc.finish(),
-                count: acc.count(),
-                emit_ns: max_emit,
-                event_time: max_et,
-            });
+            out.push(window.result(self.keyed.then(|| key.clone()), state.seen as i64));
         }
     }
 
@@ -374,23 +410,12 @@ impl KeyedWindower {
             let mut next_end = state.next_end.map_or(earliest_end, |c| c.max(earliest_end));
             while watermark >= next_end && !state.panes.is_empty() {
                 let w_start = next_end - length;
-                let mut acc = Accumulator::new(func);
-                let mut max_emit = 0u64;
-                let mut max_et = i64::MIN;
+                let mut window = Pane::new(func);
                 for (_, pane) in state.panes.range(w_start..next_end) {
-                    acc.merge(&pane.acc);
-                    max_emit = max_emit.max(pane.max_emit_ns);
-                    max_et = max_et.max(pane.max_event_time);
+                    window.merge(pane);
                 }
-                if acc.count() > 0 {
-                    out.push(WindowResult {
-                        key: if keyed { Some(key.0.clone()) } else { None },
-                        window_end: next_end,
-                        value: acc.finish(),
-                        count: acc.count(),
-                        emit_ns: max_emit,
-                        event_time: max_et,
-                    });
+                if window.acc.count() > 0 {
+                    out.push(window.result(keyed.then(|| key.0.clone()), next_end));
                 }
                 // `next_end` saturates rather than wrapping when flushed
                 // with watermark == i64::MAX.
@@ -421,13 +446,14 @@ impl KeyedWindower {
         }
     }
 
-    /// Pane size in ms for time windows (gcd of length and slide).
+    /// Pane size, gcd of length and slide: ms for time windows, tuples
+    /// for count windows.
     pub fn pane_ms(&self) -> i64 {
-        self.pane_ms
+        self.pane as i64
     }
 
-    /// Serialize the dynamic state (panes, buffers, watermark, late count)
-    /// for a checkpoint. The spec/func/keyed configuration travels with the
+    /// Serialize the dynamic state (panes, watermark, late count) for a
+    /// checkpoint. The spec/func/keyed configuration travels with the
     /// plan, not the snapshot.
     pub fn snapshot(&self) -> Result<Vec<u8>> {
         let snap = WindowerSnapshot {
@@ -455,8 +481,8 @@ impl KeyedWindower {
 /// Dynamic portion of [`KeyedWindower`] captured by checkpoints.
 #[derive(Serialize, Deserialize)]
 struct WindowerSnapshot {
-    time_state: HashMap<KeyValue, TimeKeyState>,
-    count_state: HashMap<KeyValue, CountBuf>,
+    time_state: KeyMap<TimeKeyState>,
+    count_state: KeyMap<CountKeyState>,
     watermark: i64,
     late_events: u64,
 }
@@ -487,8 +513,7 @@ pub struct SessionWindower {
     gap_ms: i64,
     func: AggFunc,
     keyed: bool,
-    sessions: HashMap<KeyValue, SessionState>,
-    global_key: Value,
+    sessions: KeyMap<SessionState>,
     /// Events that arrived behind the watermark and were dropped.
     late_events: u64,
     watermark: i64,
@@ -507,8 +532,7 @@ impl SessionWindower {
             gap_ms: gap_ms.max(1) as i64,
             func,
             keyed,
-            sessions: HashMap::new(),
-            global_key: Value::Int(0),
+            sessions: KeyMap::default(),
             late_events: 0,
             watermark: i64::MIN,
             allowed_lateness: 0,
@@ -567,34 +591,27 @@ impl SessionWindower {
             self.late_events += 1;
             return;
         }
-        let key_v = if self.keyed {
-            key.cloned().unwrap_or_else(|| self.global_key.clone())
-        } else {
-            self.global_key.clone()
+        let key = match key {
+            Some(k) if self.keyed => k,
+            _ => &GLOBAL_KEY,
         };
-        let keyed = self.keyed;
-        let entry = self.sessions.entry(KeyValue(key_v.clone()));
-        let state = match entry {
-            std::collections::hash_map::Entry::Occupied(mut occ) => {
-                if tuple.event_time - occ.get().last_et > self.gap_ms {
+        let fresh = SessionState {
+            acc: Accumulator::new(self.func),
+            start_et: tuple.event_time,
+            last_et: tuple.event_time,
+            max_emit_ns: 0,
+        };
+        let state = match self.sessions.get_mut(key) {
+            Some(state) => {
+                if tuple.event_time - state.last_et > self.gap_ms {
                     // Gap exceeded: close the old session, start fresh.
                     self.fired += 1;
-                    Self::fire(keyed.then(|| key_v.clone()), occ.get(), out);
-                    *occ.get_mut() = SessionState {
-                        acc: Accumulator::new(self.func),
-                        start_et: tuple.event_time,
-                        last_et: tuple.event_time,
-                        max_emit_ns: 0,
-                    };
+                    Self::fire(self.keyed.then(|| key.clone()), state, out);
+                    *state = fresh;
                 }
-                occ.into_mut()
+                state
             }
-            std::collections::hash_map::Entry::Vacant(vac) => vac.insert(SessionState {
-                acc: Accumulator::new(self.func),
-                start_et: tuple.event_time,
-                last_et: tuple.event_time,
-                max_emit_ns: 0,
-            }),
+            None => self.sessions.entry(KeyValue(key.clone())).or_insert(fresh),
         };
         state.acc.push(value);
         state.last_et = state.last_et.max(tuple.event_time);
@@ -628,9 +645,7 @@ impl SessionWindower {
     /// Event-time length of the currently open session for a key (tests /
     /// introspection).
     pub fn session_span(&self, key: &Value) -> Option<i64> {
-        self.sessions
-            .get(&KeyValue(key.clone()))
-            .map(|s| s.last_et - s.start_et)
+        self.sessions.get(key).map(|s| s.last_et - s.start_et)
     }
 
     /// Serialize the open sessions, watermark and late count for a
@@ -659,7 +674,7 @@ impl SessionWindower {
 /// Dynamic portion of [`SessionWindower`] captured by checkpoints.
 #[derive(Serialize, Deserialize)]
 struct SessionSnapshot {
-    sessions: HashMap<KeyValue, SessionState>,
+    sessions: KeyMap<SessionState>,
     watermark: i64,
     late_events: u64,
 }

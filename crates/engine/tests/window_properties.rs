@@ -1,12 +1,12 @@
-//! Property tests for window correctness: the pane-based time windower must
-//! agree exactly with a brute-force reference implementation on arbitrary
-//! event sequences, window specs, and watermark schedules.
+//! Property tests for window correctness: the pane-based time and count
+//! windowers must agree with a brute-force reference implementation on
+//! arbitrary event sequences, window specs, and watermark schedules.
 
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::value::{Tuple, Value};
-use pdsp_engine::window::{KeyedWindower, WindowSpec};
+use pdsp_engine::window::{KeyedWindower, WindowResult, WindowSpec};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A late tuple within the allowed-lateness bound must re-fire only the
 /// sliding windows that actually cover its event time — panes it does not
@@ -86,6 +86,79 @@ fn reference_time_windows(
     out
 }
 
+/// Two windowers fed the same keyed input fire the same result sequence:
+/// keyed state iterates in an order fixed by what was inserted, not by a
+/// per-map random seed.
+#[test]
+fn keyed_time_windows_fire_in_a_reproducible_order() {
+    let run = || {
+        let mut w = KeyedWindower::new(WindowSpec::sliding_time(300, 100), AggFunc::Sum, true);
+        let mut out = Vec::new();
+        for i in 0..5_000i64 {
+            let key = Value::str(format!("k{}", (i * 7919) % 257));
+            let mut t = Tuple::new(vec![key.clone(), Value::Int(i)]);
+            t.event_time = i;
+            w.push(Some(&key), i as f64, &t, &mut out);
+            if i % 50 == 49 {
+                w.on_watermark(i, &mut out);
+            }
+        }
+        w.flush(&mut out);
+        out
+    };
+    let first = run();
+    assert!(first.len() > 10_000, "many keys fire per watermark");
+    assert_eq!(first, run());
+}
+
+/// Brute-force reference for count windows: per key (or for the whole
+/// stream), the first window fires once `max(length, slide)` tuples have
+/// arrived and then every `slide` tuples, aggregating the last `length`
+/// tuples from scratch. Returns (key, window_end, value, count, emit_ns).
+fn reference_count_windows(
+    events: &[(i64, f64)],
+    spec: WindowSpec,
+    func: AggFunc,
+    keyed: bool,
+) -> Vec<(Option<i64>, i64, f64, u64, u64)> {
+    let (length, slide) = (spec.length as usize, spec.slide as usize);
+    let first = length.max(slide);
+    let mut history: HashMap<i64, VecDeque<(f64, u64)>> = HashMap::new();
+    let mut seen: HashMap<i64, usize> = HashMap::new();
+    let mut out = Vec::new();
+    for (i, &(k, v)) in events.iter().enumerate() {
+        let group = if keyed { k } else { 0 };
+        let h = history.entry(group).or_default();
+        h.push_back((v, i as u64));
+        if h.len() > length {
+            h.pop_front();
+        }
+        let n = seen.entry(group).or_default();
+        *n += 1;
+        if *n < first || !(*n - first).is_multiple_of(slide) {
+            continue;
+        }
+        let values: Vec<f64> = h.iter().map(|&(v, _)| v).collect();
+        let sum = values.iter().fold(0.0, |a, &b| a + b);
+        let agg = match func {
+            AggFunc::Sum => sum,
+            AggFunc::Count => values.len() as f64,
+            AggFunc::Min => values.iter().copied().fold(f64::INFINITY, f64::min),
+            AggFunc::Max => values.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+            AggFunc::Avg | AggFunc::Mean => sum / values.len() as f64,
+        };
+        let emit_ns = h.iter().map(|&(_, e)| e).max().unwrap_or(0);
+        out.push((
+            keyed.then_some(k),
+            *n as i64,
+            agg,
+            values.len() as u64,
+            emit_ns,
+        ));
+    }
+    out
+}
+
 fn run_windower(
     events: &[(i64, f64)],
     spec: WindowSpec,
@@ -148,6 +221,59 @@ proptest! {
                 (g_val - w_val).abs() <= 1e-9 * (1.0 + w_val.abs()),
                 "window {}: got {}, want {}", end, g_val, w_val
             );
+        }
+    }
+
+    /// Pane-based count windows match the brute-force reference for
+    /// tumbling and sliding specs, keyed and global, every aggregate
+    /// function: bit-exact for tumbling windows and for Count/Min/Max,
+    /// within 1e-9 relative for sliding Sum/Avg (panes are summed first,
+    /// then merged, which may round the last ulp differently).
+    #[test]
+    fn count_windows_match_reference(
+        values in prop::collection::vec(-1_000.0f64..1_000.0, 1..400),
+        keys in prop::collection::vec(0i64..4, 400),
+        length in 1u64..60,
+        slide_pct in 1u64..=100,
+        func_idx in 0usize..6,
+        keyed_flag in 0u8..2,
+    ) {
+        let slide = ((length * slide_pct) / 100).max(1);
+        let spec = WindowSpec::sliding_count(length, slide);
+        let func = AggFunc::ALL[func_idx];
+        let keyed = keyed_flag == 1;
+        let events: Vec<(i64, f64)> = keys.iter().copied().zip(values.iter().copied()).collect();
+
+        let mut w = KeyedWindower::new(spec, func, keyed);
+        let mut got: Vec<WindowResult> = Vec::new();
+        for (i, &(k, v)) in events.iter().enumerate() {
+            let key = Value::Int(k);
+            let mut tuple = Tuple::new(vec![key.clone(), Value::Double(v)]);
+            tuple.event_time = i as i64;
+            tuple.emit_ns = i as u64;
+            w.push(Some(&key), v, &tuple, &mut got);
+        }
+        let want = reference_count_windows(&events, spec, func, keyed);
+
+        prop_assert_eq!(got.len(), want.len(), "fire count");
+        let exact = slide == length
+            || matches!(func, AggFunc::Count | AggFunc::Min | AggFunc::Max);
+        for (g, (key, end, value, count, emit_ns)) in got.iter().zip(&want) {
+            prop_assert_eq!(&g.key, &key.map(Value::Int), "key");
+            prop_assert_eq!(g.window_end, *end, "window end");
+            prop_assert_eq!(g.count, *count, "count of window {}", end);
+            prop_assert_eq!(g.emit_ns, *emit_ns, "emit_ns of window {}", end);
+            prop_assert_eq!(g.event_time, *emit_ns as i64, "event time of window {}", end);
+            let g_val = g.value.unwrap();
+            if exact {
+                prop_assert_eq!(g_val.to_bits(), value.to_bits(),
+                    "window {}: got {}, want {}", end, g_val, value);
+            } else {
+                prop_assert!(
+                    (g_val - value).abs() <= 1e-9 * (1.0 + value.abs()),
+                    "window {}: got {}, want {}", end, g_val, value
+                );
+            }
         }
     }
 
