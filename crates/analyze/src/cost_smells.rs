@@ -3,7 +3,7 @@
 //!
 //! These mirror what the rule-based parallelism heuristics and the
 //! operator-chaining optimizer can and cannot repair: a rebalance edge the
-//! chainer could have fused, a parallel region draining into a single
+//! chainer could have linked, a parallel region draining into a single
 //! instance, and parallelism cliffs that concentrate channel load.
 
 use crate::context::AnalysisContext;
@@ -71,9 +71,8 @@ impl Pass for CostSmellsPass {
 
                 // PB041: a rebalance between equal-parallelism stateless
                 // neighbors. A forward edge computes the same thing and
-                // lets the chaining optimizer fuse the pair into one
-                // instance, removing a full serialize/channel/deserialize
-                // hop.
+                // lets expansion chain the pair into one thread,
+                // removing a channel hop.
                 if matches!(e.partitioning, Partitioning::Rebalance)
                     && node.parallelism == to.parallelism
                     && node.parallelism > 1
@@ -91,7 +90,7 @@ impl Pass for CostSmellsPass {
                             format!(
                                 "rebalance between stateless '{}' and '{}' at equal parallelism \
                                  {}; a forward edge would compute the same result and allow \
-                                 operator fusion",
+                                 operator chaining",
                                 node.name, to.name, node.parallelism
                             ),
                         )

@@ -60,7 +60,7 @@ impl Serialize for Severity {
 /// use pdsp_engine::PlanBuilder;
 ///
 /// // A rebalance edge between equal-parallelism stateless stages breaks
-/// // an otherwise fusable forward chain: PB041.
+/// // an otherwise chainable forward edge: PB041.
 /// let plan = PlanBuilder::new()
 ///     .source("src", Schema::of(&[FieldType::Int]), 2)
 ///     .filter("pos", Predicate::cmp(0, CmpOp::Gt, Value::Int(0)), 0.5)
@@ -117,7 +117,7 @@ pub enum Code {
     BroadcastFanOut,
     /// PB033: edge expands into an excessive number of channels.
     ChannelExplosion,
-    /// PB041: rebalance edge breaking an otherwise fusable forward chain.
+    /// PB041: rebalance edge breaking an otherwise chainable forward edge.
     ForwardChainBreak,
     /// PB042: high-parallelism region funneling into a parallelism-1 op.
     FunnelBottleneck,
@@ -335,7 +335,7 @@ impl Code {
             }
             Code::ForwardChainBreak => {
                 "A rebalance edge between equal-parallelism stateless stages breaks an \
-                 otherwise fusable forward chain, costing a serialization boundary."
+                 otherwise chainable forward edge, costing a channel hop."
             }
             Code::FunnelBottleneck => {
                 "A high-parallelism region funnels into a parallelism-1 operator that becomes \
@@ -428,7 +428,7 @@ impl Code {
             Code::BroadcastRebalanceDiamond => "use the same partitioning on both branches",
             Code::BroadcastFanOut => "reduce downstream parallelism or drop the broadcast",
             Code::ChannelExplosion => "reduce parallelism on one side of the edge",
-            Code::ForwardChainBreak => "use Forward partitioning so the chain can fuse",
+            Code::ForwardChainBreak => "use Forward partitioning so the pair can chain",
             Code::FunnelBottleneck => "raise the bottleneck operator's parallelism",
             Code::ParallelismCliff => "smooth the parallelism change over adjacent operators",
             Code::SkewVulnerableKeyedOp => "consider HashSplit + a merge stage for hot keys",

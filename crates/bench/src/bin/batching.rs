@@ -80,8 +80,8 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
 fn controller_with_batch(batch_size: usize) -> Controller {
     let run_config = RunConfig {
         batch_size,
-        // The baseline is the historical engine: no fusion, per-tuple
-        // frames. The batched side gets the full fused data plane.
+        // The baseline is the historical engine: no chaining rewrite,
+        // per-tuple frames. The batched side gets the full data plane.
         operator_fusion: batch_size > 1,
         // Both sides run the same watermark cadence; the default (64) is
         // tuned for low-rate interactive runs and would flush partial

@@ -724,6 +724,10 @@ impl Simulator {
 
         let mut latency = LatencyRecorder::new(200_000);
         let mut tuples_out = 0.0f64;
+        let mut chained_in = vec![false; phys.instance_count()];
+        for link in phys.chain_next.iter().flatten() {
+            chained_in[link.instance] = true;
+        }
         let sink_set: Vec<bool> = {
             let mut v = vec![false; phys.instance_count()];
             for s in phys.sink_instances() {
@@ -798,8 +802,15 @@ impl Simulator {
                 .iter()
                 .map(|r| r.targets.len())
                 .sum();
+            // A chained member is handed its input in its head's thread:
+            // nothing to serialize, no channel to poll.
+            let serialize_ns = if chained_in[ev.instance] {
+                0.0
+            } else {
+                eff_serialize_ns
+            };
             let per_tuple_ns =
-                (model.cpu_ns_per_tuple + costs.framework_ns_per_tuple + eff_serialize_ns)
+                (model.cpu_ns_per_tuple + costs.framework_ns_per_tuple + serialize_ns)
                     / hw.clock_ghz
                     + costs.channel_poll_ns * in_channels
                     + costs.coordination_ns(model.state_factor, parallelism) * hetero_mult[lnode];
@@ -884,6 +895,20 @@ impl Simulator {
             }
 
             // ---- Routing ----
+            // A chain link hands the batch on at once, wherever the next
+            // member is placed: no hop, no wire time.
+            if let Some(link) = phys.chain_next[ev.instance] {
+                if let Some(t) = tel.as_deref_mut() {
+                    t.emit(ev.instance, out_batch.tuples);
+                }
+                heap.push(Reverse(Event {
+                    time_ns: done,
+                    seq,
+                    instance: link.instance,
+                    batch: out_batch,
+                }));
+                seq += 1;
+            }
             for (ri, route) in phys.out_routes[ev.instance].iter().enumerate() {
                 let pick_targets: Vec<usize> = match &route.partitioning {
                     Partitioning::Forward => vec![0],
@@ -1118,6 +1143,43 @@ mod tests {
             .run(&linear_plan(2))
             .unwrap();
         assert_eq!(a.latency.median(), b.latency.median());
+    }
+
+    #[test]
+    fn chain_links_pay_no_hop_or_transfer() {
+        // src -> f1 -> f2 -> sink, one instance each, round-robin over four
+        // nodes, so f1 and f2 sit on different nodes. Chained, f1 hands its
+        // batches to f2 in its own thread; over a rebalance between the same
+        // two instances each batch pays a hop, wire time and serialization.
+        let plan = |link: Partitioning| {
+            PlanBuilder::new()
+                .source("src", Schema::of(&[FieldType::Int, FieldType::Double]), 1)
+                .filter("f1", Predicate::True, 1.0)
+                .chain(
+                    "f2",
+                    OpKind::Filter {
+                        predicate: Predicate::True,
+                        selectivity: 1.0,
+                    },
+                    Some(link),
+                )
+                .sink("sink")
+                .build()
+                .unwrap()
+        };
+        let config = SimConfig {
+            placement: PlacementStrategy::RoundRobin,
+            ..quick_config()
+        };
+        let sim = Simulator::new(Cluster::homogeneous_m510(4), config.clone());
+        let chained = sim.run(&plan(Partitioning::Forward)).unwrap();
+        let hopped = sim.run(&plan(Partitioning::Rebalance)).unwrap();
+        assert_eq!(chained.tuples_out, hopped.tuples_out);
+        let saved_ms = hopped.latency.median().unwrap() - chained.latency.median().unwrap();
+        assert!(
+            saved_ms >= config.costs.network_hop_ns / 1e6,
+            "the link saves at least one hop: {saved_ms} ms"
+        );
     }
 
     #[test]

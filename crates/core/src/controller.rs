@@ -435,7 +435,8 @@ impl Controller {
     ) -> Result<RunRecord> {
         self.check_gate(workload, plan)?;
         // Fusion rewrites the plan *after* the gate: analyzer findings refer
-        // to the plan as authored, while execution gets the collapsed chains.
+        // to the plan as authored, while execution chains across the hash
+        // exchanges it turned into forward edges.
         let fused;
         let exec_plan = if self.run_config.operator_fusion {
             fused = pdsp_engine::chaining::fuse(plan)?;

@@ -1,227 +1,362 @@
-//! Operator chaining (fusion).
+//! Operator chaining.
 //!
-//! Flink fuses consecutive operators connected by forward edges into one
-//! task, eliminating per-hop channel transfers — a major factor in real
-//! deployments and therefore something a benchmarking system must model.
-//! [`fuse`] rewrites a logical plan by collapsing maximal chains of
-//! *fusable* operators (stateless, single-input, single-consumer,
-//! forward-connected with equal parallelism) into one [`OpKind::Udo`]
-//! whose instance runs the stages back to back.
+//! Flink runs operators connected by forward edges as one task and still
+//! reports every operator's metrics on its own; a benchmarking system must
+//! model that, because a channel hop per tuple is a large share of a
+//! cheap operator's cost. Here a chain is a property of the physical plan:
+//! [`PhysicalPlan::expand`](crate::physical::PhysicalPlan::expand) links
+//! instance k of a producer to instance k of its consumer across every
+//! `Forward` edge whose producer has no other out-edge and whose consumer
+//! has no other in-edge, neither end a source or a sink. The execution core
+//! runs a whole chain in its head instance's thread: a batch passes through
+//! the members one after the other, each member processing all of it before
+//! the next, with no channel, batcher or frame in between, while every
+//! member keeps its own state, checkpoint part, counters, probe and fault
+//! checks. Stateful operators chain like stateless ones.
 //!
-//! Both execution backends benefit: the threaded runtime saves channel
-//! hops and clones; the simulator sees one instance with the summed CPU
-//! cost and the product selectivity — exactly the performance model of a
-//! fused task.
+//! [`fuse`] finds the forward edges the authored plans leave implicit. An
+//! exchange `Hash(F)` from `u` to `v` sends each tuple to target
+//! `key_hash(F) % p`, listed in instance-index order
+//! ([`RouterState::select`](crate::physical::RouterState::select)). When
+//! `u` and `v` have the same parallelism `p` and instance k of `u` only ever
+//! emits tuples whose `key_hash(F) % p` is k, every tuple goes back to the
+//! instance index it came from, and the edge is rewritten to `Forward`.
+//! Which outputs are so partitioned is derived per node:
 //!
-//! Under the micro-batched data plane the fused instance overrides
-//! [`Udo::on_batch`] and processes each incoming frame *stage-major*: the
-//! whole batch runs through stage 1, then the survivors through stage 2,
-//! and so on — a tight loop over dense vectors with no per-tuple dispatch
-//! between stages and no intermediate channel. Fusion preserves
-//! exactly-once semantics trivially: fused stages are stateless, so a chain
-//! has no checkpoint state of its own, and barriers pass through it like
-//! through any single operator.
+//! * a join whose inputs arrive partitioned on its left and right keys is
+//!   partitioned on its left key (results lead with the left tuple);
+//! * a keyed window or session whose input arrives partitioned on its key
+//!   is partitioned on field 0, where its results carry the key;
+//! * a filter passes its input's partitioning through;
+//! * a map keeps it when it projects each partitioning field verbatim, at
+//!   the same position;
+//! * anything else — UDO, flat-map, union, source — has none.
+//!
+//! An input arrives partitioned on `F` over a `Hash(F)` edge, or over a
+//! `Forward` edge from a producer partitioned on `F`; rebalance, broadcast
+//! and `HashSplit` edges partition nothing.
 
 use crate::error::Result;
-use crate::operator::{OpKind, OperatorInstance};
-use crate::plan::{LogicalPlan, NodeId, Partitioning};
-use crate::udo::{CostProfile, Udo, UdoFactory};
-use crate::value::{Schema, Tuple};
-use std::sync::Arc;
+use crate::expr::ScalarExpr;
+use crate::operator::OpKind;
+use crate::plan::{Edge, LogicalPlan, Partitioning};
 
-/// Whether an operator may participate in a fused chain.
-fn fusable(kind: &OpKind) -> bool {
-    matches!(
-        kind,
-        OpKind::Filter { .. } | OpKind::Map { .. } | OpKind::FlatMapSplit { .. }
-    )
-}
-
-/// A fused pipeline of stateless operators, executed as one UDO.
-struct FusedFactory {
-    name: String,
-    stages: Vec<OpKind>,
-    cost: CostProfile,
-}
-
-struct FusedInstance {
-    stages: Vec<Box<dyn OperatorInstance>>,
-}
-
-impl FusedInstance {
-    /// Run a whole batch stage-major: every tuple through stage 1, then the
-    /// survivors through stage 2, and so on. One pass per stage over a
-    /// dense vector — the tight loop that makes fusion pay under the
-    /// micro-batched data plane (no per-tuple dispatch between stages, no
-    /// intermediate channel).
-    fn run_batch(&mut self, tuples: Vec<Tuple>, out: &mut Vec<Tuple>) {
-        let mut current = tuples;
-        let mut next = Vec::with_capacity(current.len());
-        for stage in &mut self.stages {
-            next.clear();
-            for t in current.drain(..) {
-                // Stateless stages cannot fail on well-typed input; errors
-                // (e.g. a literal type mismatch) drop the tuple, matching
-                // filter semantics for incomparable values.
-                let _ = stage.on_tuple(0, t, &mut next);
+/// The fields each node's output is provably hash-partitioned on, by node
+/// id: instance k emits only tuples whose `key_hash(F) % p` is k.
+fn output_partitioning(plan: &LogicalPlan) -> Result<Vec<Option<Vec<usize>>>> {
+    let mut parts: Vec<Option<Vec<usize>>> = vec![None; plan.nodes.len()];
+    for id in plan.topo_order()? {
+        let arriving = |e: &Edge| match &e.partitioning {
+            Partitioning::Hash(fields) => Some(fields.clone()),
+            Partitioning::Forward => parts[e.from].clone(),
+            _ => None,
+        };
+        let ins = plan.in_edges(id);
+        let single = match ins.as_slice() {
+            [e] => arriving(e),
+            _ => None,
+        };
+        let part = match &plan.nodes[id].kind {
+            OpKind::Join {
+                left_key,
+                right_key,
+                ..
+            } => {
+                let on = |port: usize, key: usize| {
+                    ins.iter()
+                        .any(|e| e.port == port && arriving(e) == Some(vec![key]))
+                };
+                (ins.len() == 2 && on(0, *left_key) && on(1, *right_key)).then(|| vec![*left_key])
             }
-            std::mem::swap(&mut current, &mut next);
-        }
-        out.append(&mut current);
+            OpKind::WindowAggregate {
+                key_field: Some(key),
+                ..
+            }
+            | OpKind::SessionWindow {
+                key_field: Some(key),
+                ..
+            } => (single == Some(vec![*key])).then(|| vec![0]),
+            OpKind::Filter { .. } => single,
+            OpKind::Map { exprs } => single.filter(|fields| {
+                fields
+                    .iter()
+                    .all(|&f| matches!(exprs.get(f), Some(ScalarExpr::Field(g)) if *g == f))
+            }),
+            _ => None,
+        };
+        parts[id] = part;
     }
+    Ok(parts)
 }
 
-impl Udo for FusedInstance {
-    fn on_tuple(&mut self, _port: usize, tuple: Tuple, out: &mut Vec<Tuple>) {
-        self.run_batch(vec![tuple], out);
-    }
-
-    fn on_batch(&mut self, _port: usize, tuples: Vec<Tuple>, out: &mut Vec<Tuple>) {
-        self.run_batch(tuples, out);
-    }
-}
-
-impl UdoFactory for FusedFactory {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn create(&self) -> Box<dyn Udo> {
-        Box::new(FusedInstance {
-            stages: self.stages.iter().map(OpKind::instantiate).collect(),
-        })
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        self.cost
-    }
-
-    fn output_schema(&self, input: &Schema) -> Schema {
-        let mut schema = input.clone();
-        for stage in &self.stages {
-            schema = stage
-                .output_schema(&[schema])
-                .expect("fused stages were schema-checked at fuse time");
-        }
-        schema
-    }
-}
-
-/// Fuse maximal chains of fusable operators. Returns the rewritten plan
-/// (node ids are re-assigned); plans without fusable chains come back
-/// structurally identical.
+/// Rewrite every `Hash(F)` edge that re-routes each tuple to the instance
+/// index it came from into `Forward` (see the module docs), so that
+/// expansion can chain across it. Nodes, ids, names and parallelism are
+/// kept; a plan with no such edge comes back unchanged.
 pub fn fuse(plan: &LogicalPlan) -> Result<LogicalPlan> {
     plan.validate()?;
-    let n = plan.nodes.len();
-
-    // A node can absorb its single consumer when the edge is forward-like
-    // (forward partitioning or equal-parallelism rebalance with one
-    // upstream producer is NOT fused — we only fuse explicit Forward edges
-    // to preserve routing semantics), both ends are fusable, and the
-    // consumer has exactly one input.
-    let mut absorbed_into = vec![usize::MAX; n]; // consumer -> head of chain
-    let mut chain_of: Vec<Vec<NodeId>> = (0..n).map(|i| vec![i]).collect();
-
-    // Walk in topological order, growing chains head-first.
-    for &id in plan.topo_order()?.iter() {
-        let outs = plan.out_edges(id);
-        if outs.len() != 1 {
+    let parts = output_partitioning(plan)?;
+    let mut rewritten = plan.clone();
+    for e in &mut rewritten.edges {
+        let Partitioning::Hash(fields) = &e.partitioning else {
             continue;
-        }
-        let edge = outs[0];
-        let to = edge.to;
-        if edge.partitioning != Partitioning::Forward {
-            continue;
-        }
-        if !fusable(&plan.nodes[id].kind) || !fusable(&plan.nodes[to].kind) {
-            continue;
-        }
-        if plan.in_edges(to).len() != 1 {
-            continue;
-        }
-        if plan.nodes[id].parallelism != plan.nodes[to].parallelism {
-            continue;
-        }
-        // Find the chain head of `id` and append `to`.
-        let head = if absorbed_into[id] == usize::MAX {
-            id
-        } else {
-            absorbed_into[id]
         };
-        absorbed_into[to] = head;
-        let tail = chain_of[to].clone();
-        chain_of[head].extend(tail);
-        chain_of[to].clear();
-    }
-
-    // Rebuild the plan: one node per surviving chain head / unfused node.
-    let mut rebuilt = LogicalPlan::default();
-    let mut new_id = vec![usize::MAX; n];
-    for old in 0..n {
-        if absorbed_into[old] != usize::MAX {
-            continue; // absorbed into some head
-        }
-        let chain = &chain_of[old];
-        let node = &plan.nodes[old];
-        let id = if chain.len() == 1 {
-            rebuilt.add_node(node.name.clone(), node.kind.clone(), node.parallelism)
-        } else {
-            let stages: Vec<OpKind> = chain.iter().map(|&i| plan.nodes[i].kind.clone()).collect();
-            let name = chain
-                .iter()
-                .map(|&i| plan.nodes[i].name.as_str())
-                .collect::<Vec<_>>()
-                .join("+");
-            let cost = stages
-                .iter()
-                .fold(CostProfile::stateless(0.0, 1.0), |acc, s| {
-                    let p = s.cost_profile();
-                    CostProfile {
-                        // Fused stages skip per-hop serialization; summing
-                        // raw CPU already under-counts the unfused channel
-                        // overhead, which is the point of fusing.
-                        cpu_ns_per_tuple: acc.cpu_ns_per_tuple + p.cpu_ns_per_tuple,
-                        selectivity: acc.selectivity * p.selectivity,
-                        state_factor: acc.state_factor.max(p.state_factor),
-                    }
-                });
-            rebuilt.add_node(
-                name.clone(),
-                OpKind::Udo {
-                    factory: Arc::new(FusedFactory { name, stages, cost }),
-                },
-                node.parallelism,
-            )
-        };
-        new_id[old] = id;
-    }
-    // Map absorbed nodes to their head's new id (for edge rewiring).
-    for old in 0..n {
-        if absorbed_into[old] != usize::MAX {
-            new_id[old] = new_id[absorbed_into[old]];
+        if parts[e.from].as_ref() == Some(fields)
+            && plan.nodes[e.from].parallelism == plan.nodes[e.to].parallelism
+        {
+            e.partitioning = Partitioning::Forward;
         }
     }
-    // Re-add edges, skipping intra-chain forwards.
-    for e in &plan.edges {
-        let (from, to) = (new_id[e.from], new_id[e.to]);
-        if from == to {
-            continue; // fused away
-        }
-        rebuilt.connect_port(from, to, e.port, e.partitioning.clone());
-    }
-    rebuilt.validate()?;
-    Ok(rebuilt)
+    rewritten.validate()?;
+    Ok(rewritten)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{CmpOp, Predicate, ScalarExpr};
+    use crate::agg::AggFunc;
+    use crate::expr::{CmpOp, Predicate};
     use crate::physical::PhysicalPlan;
     use crate::runtime::{RunConfig, ThreadedRuntime, VecSource};
-    use crate::value::{FieldType, Value};
+    use crate::udo::{CostProfile, FnUdo};
+    use crate::value::{FieldType, Schema, Tuple, Value};
+    use crate::window::WindowSpec;
     use crate::PlanBuilder;
 
+    fn filter(predicate: Predicate) -> OpKind {
+        OpKind::Filter {
+            predicate,
+            selectivity: 1.0,
+        }
+    }
+
+    /// `source -[first]-> stage -[second]-> next -> sink`, every node at
+    /// parallelism `p` except `next` at `p_next`; the source has two
+    /// integer fields.
+    fn two_hop(
+        first: Partitioning,
+        stage: OpKind,
+        second: Partitioning,
+        p_next: usize,
+    ) -> LogicalPlan {
+        let p = 2;
+        let mut plan = LogicalPlan::default();
+        let s = plan.add_node(
+            "s",
+            OpKind::Source {
+                schema: Schema::of(&[FieldType::Int, FieldType::Int]),
+            },
+            p,
+        );
+        let a = plan.add_node("a", stage, p);
+        let b = plan.add_node("b", filter(Predicate::True), p_next);
+        let k = plan.add_node("k", OpKind::Sink, 1);
+        plan.connect(s, a, first);
+        plan.connect(a, b, second);
+        plan.connect(b, k, Partitioning::Rebalance);
+        plan
+    }
+
+    /// Whether `fuse` turned the `a -> b` edge of [`two_hop`] into Forward.
+    fn rewrites(plan: &LogicalPlan) -> bool {
+        let fused = fuse(plan).unwrap();
+        assert_eq!(fused.nodes.len(), plan.nodes.len());
+        fused.edges[1].partitioning == Partitioning::Forward
+    }
+
+    fn keyed_window(key: usize) -> OpKind {
+        OpKind::WindowAggregate {
+            window: WindowSpec::tumbling_count(4),
+            func: AggFunc::Sum,
+            agg_field: 1,
+            key_field: Some(key),
+        }
+    }
+
+    fn join_plan(after_join: Partitioning, p_after: usize) -> LogicalPlan {
+        let int2 = Schema::of(&[FieldType::Int, FieldType::Int]);
+        let mut b = PlanBuilder::new();
+        let l = b.add_node(
+            "l",
+            OpKind::Source {
+                schema: int2.clone(),
+            },
+            2,
+        );
+        let r = b.add_node("r", OpKind::Source { schema: int2 }, 2);
+        b.join("j", l, r, WindowSpec::tumbling_time(10), 1, 0)
+            .set_parallelism(2, 2)
+            .chain("after", filter(Predicate::True), Some(after_join))
+            .set_parallelism(3, p_after)
+            .sink("k")
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn join_output_is_partitioned_on_its_left_key() {
+        let plan = join_plan(Partitioning::Hash(vec![1]), 2);
+        let fused = fuse(&plan).unwrap();
+        let e = fused.edges.iter().find(|e| e.from == 2).unwrap();
+        assert_eq!(e.partitioning, Partitioning::Forward);
+    }
+
+    #[test]
+    fn hash_on_a_non_key_field_is_kept() {
+        // The join is keyed on left field 1; field 0 says nothing.
+        let plan = join_plan(Partitioning::Hash(vec![0]), 2);
+        let fused = fuse(&plan).unwrap();
+        assert_eq!(fused.edges, plan.edges);
+    }
+
+    #[test]
+    fn unequal_parallelism_is_kept() {
+        let plan = join_plan(Partitioning::Hash(vec![1]), 3);
+        assert_eq!(fuse(&plan).unwrap().edges, plan.edges);
+        assert!(!rewrites(&two_hop(
+            Partitioning::Hash(vec![0]),
+            filter(Predicate::True),
+            Partitioning::Hash(vec![0]),
+            3
+        )));
+    }
+
+    #[test]
+    fn keyed_window_hashed_on_its_key_is_partitioned_on_field_zero() {
+        let window = || keyed_window(1);
+        assert!(rewrites(&two_hop(
+            Partitioning::Hash(vec![1]),
+            window(),
+            Partitioning::Hash(vec![0]),
+            2
+        )));
+        // Re-hashed on an output field other than the key.
+        assert!(!rewrites(&two_hop(
+            Partitioning::Hash(vec![1]),
+            window(),
+            Partitioning::Hash(vec![1]),
+            2
+        )));
+    }
+
+    #[test]
+    fn filter_passes_its_input_partitioning_through() {
+        let f = || filter(Predicate::cmp(0, CmpOp::Ge, Value::Int(0)));
+        assert!(rewrites(&two_hop(
+            Partitioning::Hash(vec![1, 0]),
+            f(),
+            Partitioning::Hash(vec![1, 0]),
+            2
+        )));
+        // Same fields in another order hash differently.
+        assert!(!rewrites(&two_hop(
+            Partitioning::Hash(vec![1, 0]),
+            f(),
+            Partitioning::Hash(vec![0, 1]),
+            2
+        )));
+    }
+
+    #[test]
+    fn map_keeps_the_positions_it_projects_verbatim() {
+        let double = ScalarExpr::Mul(
+            Box::new(ScalarExpr::Field(1)),
+            Box::new(ScalarExpr::Literal(Value::Int(2))),
+        );
+        let keeps = OpKind::Map {
+            exprs: vec![ScalarExpr::Field(0), double.clone()],
+        };
+        assert!(rewrites(&two_hop(
+            Partitioning::Hash(vec![0]),
+            keeps,
+            Partitioning::Hash(vec![0]),
+            2
+        )));
+        let swaps = OpKind::Map {
+            exprs: vec![ScalarExpr::Field(1), ScalarExpr::Field(0)],
+        };
+        assert!(!rewrites(&two_hop(
+            Partitioning::Hash(vec![0]),
+            swaps,
+            Partitioning::Hash(vec![0]),
+            2
+        )));
+        let computes = OpKind::Map {
+            exprs: vec![double, ScalarExpr::Field(1)],
+        };
+        assert!(!rewrites(&two_hop(
+            Partitioning::Hash(vec![0]),
+            computes,
+            Partitioning::Hash(vec![0]),
+            2
+        )));
+    }
+
+    #[test]
+    fn forward_input_inherits_its_producers_partitioning() {
+        // s -Hash[0]-> f1 -Forward-> f2 -Hash[0]-> b: f2 inherits f1's.
+        let mut plan = two_hop(
+            Partitioning::Hash(vec![0]),
+            filter(Predicate::True),
+            Partitioning::Forward,
+            2,
+        );
+        let f2 = plan.add_node("f2", filter(Predicate::True), 2);
+        plan.edges[1].to = f2;
+        plan.connect(f2, 2, Partitioning::Hash(vec![0]));
+        let fused = fuse(&plan).unwrap();
+        let e = fused.edges.iter().find(|e| e.from == f2).unwrap();
+        assert_eq!(e.partitioning, Partitioning::Forward);
+        // f1 -> f2 -> b is one chain, though b's id is below f2's.
+        let phys = PhysicalPlan::expand(&fused).unwrap();
+        for k in 0..2 {
+            let [f1, f2, b] = [1, f2, 2].map(|n| phys.node_instances[n][k]);
+            assert_eq!(phys.chain(f1), vec![f1, f2, b]);
+            assert_eq!([f2, b].map(|m| phys.chain_heads()[m]), [f1, f1]);
+        }
+    }
+
+    #[test]
+    fn rebalance_hash_split_and_broadcast_upstream_partition_nothing() {
+        for first in [
+            Partitioning::Rebalance,
+            Partitioning::HashSplit(vec![0], 2),
+            Partitioning::Broadcast,
+        ] {
+            let plan = two_hop(
+                first.clone(),
+                filter(Predicate::True),
+                Partitioning::Hash(vec![0]),
+                2,
+            );
+            assert!(!rewrites(&plan), "{first:?} upstream");
+        }
+    }
+
+    #[test]
+    fn udo_producer_partitions_nothing() {
+        let udo = FnUdo::new(
+            "id",
+            CostProfile::stateless(10.0, 1.0),
+            |s| s.clone(),
+            |t, out: &mut Vec<Tuple>| out.push(t),
+        );
+        let plan = two_hop(
+            Partitioning::Hash(vec![0]),
+            OpKind::Udo { factory: udo },
+            Partitioning::Hash(vec![0]),
+            2,
+        );
+        assert!(!rewrites(&plan));
+    }
+
+    /// Worker threads an execution of `phys` runs: one per chain.
+    fn threads(phys: &PhysicalPlan) -> usize {
+        let heads = phys.chain_heads();
+        (0..heads.len()).filter(|&i| heads[i] == i).count()
+    }
+
+    /// `s (p1) -> f1 -F-> f2 -F-> double -> k`, the middle three at p 4.
     fn chain_plan() -> LogicalPlan {
         PlanBuilder::new()
             .source("s", Schema::of(&[FieldType::Int]), 1)
@@ -229,10 +364,7 @@ mod tests {
             .set_parallelism(1, 4)
             .chain(
                 "f2",
-                OpKind::Filter {
-                    predicate: Predicate::cmp(0, CmpOp::Lt, Value::Int(90)),
-                    selectivity: 0.9,
-                },
+                filter(Predicate::cmp(0, CmpOp::Lt, Value::Int(90))),
                 Some(Partitioning::Forward),
             )
             .set_parallelism(2, 4)
@@ -252,21 +384,38 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn fuse_collapses_forward_chains() {
-        let plan = chain_plan();
-        assert_eq!(plan.nodes.len(), 5);
-        let fused = fuse(&plan).unwrap();
-        // source + fused(f1+f2+double) + sink.
-        assert_eq!(fused.nodes.len(), 3);
-        assert!(fused.nodes.iter().any(|n| n.name == "f1+f2+double"));
-        fused.validate().unwrap();
+    /// The same plan with its forward edges turned into rebalances: the
+    /// same results over channels.
+    fn unchained(plan: &LogicalPlan) -> LogicalPlan {
+        let mut plan = plan.clone();
+        for e in &mut plan.edges {
+            if e.partitioning == Partitioning::Forward {
+                e.partitioning = Partitioning::Rebalance;
+            }
+        }
+        plan
     }
 
     #[test]
-    fn fused_plan_computes_identical_results() {
+    fn forward_chains_link_in_the_physical_plan() {
+        let phys = PhysicalPlan::expand(&chain_plan()).unwrap();
+        assert_eq!(phys.logical.nodes.len(), 5, "authored nodes are kept");
+        // f1 instance k heads f1 -> f2 -> double instance k.
+        for k in 0..4 {
+            let head = phys.node_instances[1][k];
+            let members: Vec<usize> = (1..4).map(|n| phys.node_instances[n][k]).collect();
+            assert_eq!(phys.chain(head), members);
+            for &m in &members {
+                assert_eq!(phys.chain_heads()[m], head);
+            }
+        }
+        // Source, 4 chains, sink.
+        assert_eq!(threads(&phys), 6);
+    }
+
+    #[test]
+    fn chained_plan_computes_identical_results() {
         let plan = chain_plan();
-        let fused = fuse(&plan).unwrap();
         let tuples: Vec<Tuple> = (0..200).map(|i| Tuple::new(vec![Value::Int(i)])).collect();
         let rt = ThreadedRuntime::new(RunConfig::default());
         let run = |p: &LogicalPlan| {
@@ -278,63 +427,65 @@ mod tests {
                 .map(|t| t.values[0].as_f64().unwrap())
                 .collect();
             vals.sort_by(|a, b| a.total_cmp(b));
-            (res.tuples_out, vals)
+            let stats: Vec<(String, u64, u64)> = res
+                .operator_stats
+                .iter()
+                .map(|s| (s.name.clone(), s.tuples_in, s.tuples_out))
+                .collect();
+            (res.tuples_out, vals, stats)
         };
-        let (n_plain, v_plain) = run(&plan);
-        let (n_fused, v_fused) = run(&fused);
-        assert_eq!(n_plain, n_fused);
-        assert_eq!(v_plain, v_fused);
-        assert_eq!(n_plain, 80, "10..90 doubled");
+        let chained = run(&plan);
+        assert_eq!(chained, run(&unchained(&plan)));
+        assert_eq!(chained.0, 80, "10..90 doubled");
+        assert_eq!(
+            chained.2[2],
+            ("f2".to_string(), 190, 80),
+            "per-member counts"
+        );
     }
 
     #[test]
-    fn fused_cost_profile_compounds_selectivity() {
-        let fused = fuse(&chain_plan()).unwrap();
-        let udo = fused
-            .nodes
-            .iter()
-            .find(|n| matches!(n.kind, OpKind::Udo { .. }))
-            .unwrap();
-        let cost = udo.kind.cost_profile();
-        assert!((cost.selectivity - 0.81).abs() < 1e-9, "0.9 * 0.9 * 1.0");
-        assert!(cost.cpu_ns_per_tuple > 0.0);
+    fn chaining_saves_channels_and_threads() {
+        let plan = chain_plan();
+        let chained = PhysicalPlan::expand(&plan).unwrap();
+        let plain = PhysicalPlan::expand(&unchained(&plan)).unwrap();
+        assert_eq!(chained.instance_count(), plain.instance_count());
+        assert!(chained.channel_count() < plain.channel_count());
+        assert!(threads(&chained) < threads(&plain));
+        assert_eq!(threads(&plain), plain.instance_count());
     }
 
     #[test]
-    fn rebalance_edges_are_not_fused() {
+    fn rebalance_edges_do_not_chain() {
         let plan = PlanBuilder::new()
-            .source("s", Schema::of(&[FieldType::Int]), 1)
+            .source("s", Schema::of(&[FieldType::Int]), 2)
             .filter("f1", Predicate::True, 1.0)
             .filter("f2", Predicate::True, 1.0) // rebalance edge (default)
             .sink("k")
             .build()
-            .unwrap();
-        let fused = fuse(&plan).unwrap();
-        assert_eq!(fused.nodes.len(), plan.nodes.len(), "nothing to fuse");
+            .unwrap()
+            .with_uniform_parallelism(2);
+        assert_eq!(fuse(&plan).unwrap().edges, plan.edges, "nothing to rewrite");
+        let phys = PhysicalPlan::expand(&plan).unwrap();
+        assert!(phys.chain_next.iter().all(Option::is_none));
     }
 
     #[test]
-    fn stateful_operators_break_chains() {
-        let plan = PlanBuilder::new()
-            .source("s", Schema::of(&[FieldType::Int, FieldType::Double]), 1)
-            .filter("f", Predicate::True, 1.0)
-            .window_agg_keyed(
-                "agg",
-                crate::window::WindowSpec::tumbling_count(10),
-                crate::agg::AggFunc::Sum,
-                1,
-                0,
-            )
-            .sink("k")
-            .build()
-            .unwrap();
-        let fused = fuse(&plan).unwrap();
-        assert_eq!(fused.nodes.len(), plan.nodes.len());
+    fn stateful_operators_chain() {
+        let plan = two_hop(
+            Partitioning::Hash(vec![1]),
+            keyed_window(1),
+            Partitioning::Hash(vec![0]),
+            2,
+        );
+        let phys = PhysicalPlan::expand(&fuse(&plan).unwrap()).unwrap();
+        let (window, next) = (phys.node_instances[1][1], phys.node_instances[2][1]);
+        assert_eq!(phys.chain(window), vec![window, next]);
     }
 
     #[test]
-    fn branching_consumers_break_chains() {
-        // f1 feeds two consumers: must not be absorbed.
+    fn branch_points_do_not_chain() {
+        // f1 feeds two consumers, so neither edge out of it is a link.
         let mut plan = LogicalPlan::default();
         let s = plan.add_node(
             "s",
@@ -343,38 +494,53 @@ mod tests {
             },
             2,
         );
-        let f1 = plan.add_node(
-            "f1",
-            OpKind::Filter {
-                predicate: Predicate::True,
-                selectivity: 1.0,
-            },
-            2,
-        );
-        let f2 = plan.add_node(
-            "f2",
-            OpKind::Filter {
-                predicate: Predicate::True,
-                selectivity: 1.0,
-            },
-            2,
-        );
+        let f1 = plan.add_node("f1", filter(Predicate::True), 2);
+        let f2 = plan.add_node("f2", filter(Predicate::True), 2);
         let k1 = plan.add_node("k1", OpKind::Sink, 1);
         let k2 = plan.add_node("k2", OpKind::Sink, 1);
         plan.connect(s, f1, Partitioning::Forward);
         plan.connect(f1, f2, Partitioning::Forward);
         plan.connect(f1, k1, Partitioning::Rebalance);
         plan.connect(f2, k2, Partitioning::Rebalance);
-        let fused = fuse(&plan).unwrap();
-        assert_eq!(fused.nodes.len(), 5, "branch point prevents fusion");
+        let phys = PhysicalPlan::expand(&plan).unwrap();
+        assert!(
+            phys.chain_next.iter().all(Option::is_none),
+            "a branch point and a source end no chain"
+        );
+        assert_eq!(threads(&phys), phys.instance_count());
     }
 
     #[test]
-    fn fusing_reduces_physical_channels() {
-        let plan = chain_plan();
-        let fused = fuse(&plan).unwrap();
-        let before = PhysicalPlan::expand(&plan).unwrap().channel_count();
-        let after = PhysicalPlan::expand(&fused).unwrap().channel_count();
-        assert!(after < before, "{after} < {before}");
+    fn chained_member_errors_fail_the_run() {
+        // The source declares Int but delivers strings: the filter passes
+        // them, and the chained map fails on `"x" + 1` as it would unchained.
+        let plan = PlanBuilder::new()
+            .source("s", Schema::of(&[FieldType::Int]), 1)
+            .filter("f", Predicate::True, 1.0)
+            .chain(
+                "inc",
+                OpKind::Map {
+                    exprs: vec![ScalarExpr::Add(
+                        Box::new(ScalarExpr::Field(0)),
+                        Box::new(ScalarExpr::Literal(Value::Int(1))),
+                    )],
+                },
+                Some(Partitioning::Forward),
+            )
+            .sink("k")
+            .build()
+            .unwrap();
+        let rows = vec![Tuple::new(vec![Value::str("x")])];
+        let rt = ThreadedRuntime::new(RunConfig::default());
+        for p in [plan.clone(), unchained(&plan)] {
+            let phys = PhysicalPlan::expand(&p).unwrap();
+            let err = rt.run(&phys, &[VecSource::new(rows.clone())]).unwrap_err();
+            assert!(err.to_string().contains("non-numeric"), "{err}");
+        }
+        let phys = PhysicalPlan::expand(&plan).unwrap();
+        assert!(
+            phys.chain_next.iter().any(Option::is_some),
+            "f -> inc chains"
+        );
     }
 }

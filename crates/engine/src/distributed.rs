@@ -304,6 +304,16 @@ impl Transport for MeshTransport {
     }
 }
 
+/// `assignment[instance id] == worker id`: instances round-robin over
+/// `workers` by id, except that a chain member goes wherever its chain's
+/// head goes, since the head's thread runs it.
+fn assign(plan: &PhysicalPlan, workers: usize) -> Vec<usize> {
+    plan.chain_heads()
+        .into_iter()
+        .map(|h| h % workers)
+        .collect()
+}
+
 /// The instances on other workers that `worker`'s instances send to, each
 /// with the worker hosting it: `worker` dials one data connection per entry,
 /// and every host accepts exactly the entries that name it.
@@ -1038,6 +1048,7 @@ impl DistributedRuntime {
                     &ev_rx,
                     &mut children,
                     spec,
+                    &plan,
                     restore,
                     offsets,
                     attempt,
@@ -1106,6 +1117,7 @@ impl DistributedRuntime {
         ev_rx: &Receiver<Event>,
         children: &mut [Child],
         spec: &str,
+        plan: &PhysicalPlan,
         restore: &HashMap<usize, Vec<u8>>,
         offsets: Vec<u64>,
         attempt: usize,
@@ -1116,7 +1128,7 @@ impl DistributedRuntime {
         seen: &mut Observed,
     ) -> Attempt {
         let k = children.len();
-        let assignment: Vec<usize> = (0..offsets.len()).map(|i| i % k).collect();
+        let assignment = assign(plan, k);
         let mut att = Attempt {
             outcome: Ok(()),
             reports: Vec::new(),
@@ -1606,8 +1618,7 @@ mod tests {
     fn every_dialed_connection_is_expected_by_its_host() {
         for (seed, k) in [(0, 2), (1, 2), (2, 3), (0, 1)] {
             let (plan, _) = testplan::build(seed, 64, 0).unwrap();
-            let n = plan.instance_count();
-            let assignment: Vec<usize> = (0..n).map(|i| i % k).collect();
+            let assignment = assign(&plan, k);
             let mut dialed = vec![0usize; k];
             for me in 0..k {
                 for (inst, host) in remote_targets(&plan, &assignment, me) {
@@ -1633,7 +1644,7 @@ mod tests {
     fn dialing_rejects_a_missing_peer_address() {
         let (plan, _) = testplan::build(0, 64, 0).unwrap();
         let n = plan.instance_count();
-        let assignment: Vec<usize> = (0..n).map(|i| i % 2).collect();
+        let assignment = assign(&plan, 2);
         // Peer list too short: worker 1 unreachable.
         let res = dial_remote_targets(
             remote_targets(&plan, &assignment, 0),

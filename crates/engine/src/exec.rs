@@ -1,8 +1,9 @@
 //! The execution core: the per-attempt worker loops of every backend.
 //!
-//! One "attempt" spawns a thread per physical instance and runs it to
-//! completion (or failure). The loops here carry the full protocol stack —
-//! micro-batching, watermarks, aligned Chandy–Lamport barriers, the
+//! One "attempt" spawns a thread per operator chain (see
+//! [`crate::chaining`]; an unchained instance is a chain of one) and runs
+//! it to completion (or failure). The loops here carry the full protocol
+//! stack — micro-batching, watermarks, aligned Chandy–Lamport barriers, the
 //! overload-escalation ladder — and are used by three drivers:
 //!
 //! * [`crate::runtime::ThreadedRuntime`] runs every instance in-process
@@ -24,8 +25,8 @@ use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultInjector;
 use crate::message::{Message, WatermarkTracker};
-use crate::operator::OpKind;
-use crate::physical::{PhysicalPlan, RouterState};
+use crate::operator::{OpKind, OperatorInstance};
+use crate::physical::{PhysicalInstance, PhysicalPlan, RouterState};
 use crate::pressure::{PressureGauge, PressureLevel, Shedder};
 use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
 use crate::telemetry::Probe;
@@ -333,7 +334,7 @@ impl Reporters {
 /// One spawned instance: `(instance id, logical node, worker thread)`.
 pub(crate) type InstanceHandle = (usize, usize, JoinHandle<Result<()>>);
 
-/// Spawn the worker threads of one attempt.
+/// Spawn the worker threads of one attempt, one per chain head.
 ///
 /// When `local` is `Some`, only the instances it contains are spawned (the
 /// distributed placement case) — their downstream edges may then resolve to
@@ -368,6 +369,18 @@ pub(crate) fn spawn_instances(
     let ckpt_interval = settings.ckpt_interval;
     let batch_size = settings.run.batch_size;
     let mut handles = Vec::new();
+    let probe_for = |inst: &PhysicalInstance| {
+        let probe = Probe::for_instance(tel, inst.id, inst.node, inst.index).with_trace(
+            tel,
+            &plan.logical.nodes[inst.node].name,
+            clock,
+        );
+        if restarted {
+            probe.restart();
+        }
+        probe
+    };
+    let heads = plan.chain_heads();
 
     for inst in &plan.instances {
         if let Some(mine) = local {
@@ -375,8 +388,14 @@ pub(crate) fn spawn_instances(
                 continue;
             }
         }
+        // A chain runs in its head's thread; sources and sinks head
+        // chains of one.
+        if heads[inst.id] != inst.id {
+            continue;
+        }
+        let members = plan.chain(inst.id);
         let node = &plan.logical.nodes[inst.node];
-        let routes = plan.out_routes[inst.id].clone();
+        let routes = plan.out_routes[*members.last().expect("a chain has a head")].clone();
         let downstream = transport.downstream_for(&routes)?;
         let route_meta = routes;
         let injector = injector.clone();
@@ -384,11 +403,7 @@ pub(crate) fn spawn_instances(
         let lnode = inst.node;
         let index = inst.index;
         let restore_bytes = restore.get(&inst.id).cloned();
-        let probe = Probe::for_instance(tel, inst.id, inst.node, inst.index)
-            .with_trace(tel, &node.name, clock);
-        if restarted {
-            probe.restart();
-        }
+        let probe = probe_for(inst);
 
         match &node.kind {
             OpKind::Source { .. } => {
@@ -628,13 +643,30 @@ pub(crate) fn spawn_instances(
                 });
                 handles.push((lnode, index, worker));
             }
-            kind => {
-                let mut op = kind.instantiate();
-                if settings.run.overload.allowed_lateness_ms > 0 {
-                    op.set_allowed_lateness(settings.run.overload.allowed_lateness_ms);
-                }
-                if let Some(b) = restore_bytes.as_deref() {
-                    op.restore(b)?;
+            _ => {
+                // The head's probe is `probe`; the other members get theirs.
+                let mut chain = Vec::with_capacity(members.len());
+                for (pos, &m) in members.iter().enumerate() {
+                    let pi = &plan.instances[m];
+                    let member_probe = if pos == 0 {
+                        probe.clone()
+                    } else {
+                        probe_for(pi)
+                    };
+                    // A tail member's port is its link's; the head's
+                    // ports are its channels'.
+                    let port = members[..pos]
+                        .last()
+                        .and_then(|&prev| plan.chain_next[prev])
+                        .map_or(0, |link| link.port);
+                    chain.push(Member::new(
+                        plan,
+                        pi,
+                        port,
+                        member_probe,
+                        settings,
+                        restore.get(&m).map(Vec::as_slice),
+                    )?);
                 }
                 let rx = take_receiver(receivers, inst.id)?;
                 let channels = plan.input_channel_count[inst.id];
@@ -649,6 +681,7 @@ pub(crate) fn spawn_instances(
                 let mut shedder =
                     Shedder::new(overload.shed_policy.clone(), overload.seed, inst.id as u64);
                 let worker = std::thread::spawn(move || -> Result<()> {
+                    let injector = injector.as_ref();
                     let mut router = RouterState::new(route_meta.len());
                     let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
                     let mut tracker = WatermarkTracker::new(channels);
@@ -656,13 +689,23 @@ pub(crate) fn spawn_instances(
                     let mut blocked = vec![false; channels];
                     let mut pending: Vec<VecDeque<Envelope>> =
                         (0..channels).map(|_| VecDeque::new()).collect();
-                    let mut out = Vec::new();
                     let mut closed = 0usize;
-                    let (mut n_in, mut n_out, mut n_shed) = (0u64, 0u64, 0u64);
                     let mut shed_fraction = 0.0f64;
-                    // Context of the last traced frame absorbed by a windowed
-                    // operator, consumed when a later pane fire emits results.
-                    let mut window_ctx: Option<TraceContext> = None;
+                    // Scatter the last member's outputs downstream (its
+                    // buffer keeps its capacity), continuing `ctx` when the
+                    // batch they came from was traced.
+                    let mut emit = |batcher: &mut EdgeBatcher,
+                                    chain: &mut [Member],
+                                    ctx: Option<TraceContext>|
+                     -> Result<()> {
+                        let out = &mut chain.last_mut().expect("a chain has a head").out;
+                        batcher.set_active_trace(ctx.map(|c| (c, probe.trace_now())));
+                        for t in out.drain(..) {
+                            batcher.scatter(&route_meta, &downstream, &mut router, &probe, t)?;
+                        }
+                        batcher.set_active_trace(None);
+                        Ok(())
+                    };
                     while closed < channels {
                         let wait = probe.now_if();
                         let recv = || batcher.next_input(&rx, &route_meta, &downstream, &probe);
@@ -676,6 +719,9 @@ pub(crate) fn spawn_instances(
                             Polled::Buffered => continue,
                         };
                         let work = probe.mark_idle(wait);
+                        for m in &chain[1..] {
+                            m.probe.mark_idle(wait);
+                        }
                         // The queue depth takes the channel lock: read it
                         // only for the probe or the overload gauge.
                         let depth = if probe.enabled() || gauge.is_some() {
@@ -706,144 +752,44 @@ pub(crate) fn spawn_instances(
                                 }
                             }
                         }
+                        // Time the tail members spent, which is theirs and
+                        // not the head's.
+                        let mut tail_busy = Duration::ZERO;
+                        let shed = (shed_fraction > 0.0).then_some((&mut shedder, shed_fraction));
                         match env.msg {
                             Message::Data(t) => {
-                                if let Some(inj) = &injector {
-                                    inj.check(lnode, index, n_in)?;
-                                }
-                                n_in += 1;
-                                probe.tuples_in(1);
-                                if shed_fraction > 0.0
-                                    && shedder.should_shed(shed_fraction, &t, 0, 1)
-                                {
-                                    n_shed += 1;
-                                    probe.shed(1);
-                                    probe.mark_busy(work);
-                                    continue;
-                                }
-                                out.clear();
-                                op.on_tuple(ports[env.channel], t, &mut out)?;
-                                n_out += out.len() as u64;
-                                probe.tuples_out(out.len() as u64);
-                                for t in out.drain(..) {
-                                    batcher.scatter(
-                                        &route_meta,
-                                        &downstream,
-                                        &mut router,
-                                        &probe,
-                                        t,
-                                    )?;
-                                }
+                                let port = ports[env.channel];
+                                let ctx =
+                                    chain[0].step(port, vec![t], None, None, injector, shed)?;
+                                let ctx = cascade(&mut chain, ctx, None, injector, &mut tail_busy)?;
+                                emit(&mut batcher, &mut chain, ctx)?;
                             }
                             Message::Batch(b) => {
                                 let port = ports[env.channel];
-                                let frame_len = b.tuples.len();
-                                let ftrace = b.trace;
-                                let t_deq = if ftrace.is_some() { clock.now_ns() } else { 0 };
-                                out.clear();
-                                if injector.is_some() {
-                                    // Fault triggers count individual tuples,
-                                    // so an armed injector must observe each
-                                    // one — the batch is unrolled to keep
-                                    // fault points at tuple granularity.
-                                    for (i, t) in b.tuples.into_iter().enumerate() {
-                                        if let Some(inj) = &injector {
-                                            inj.check(lnode, index, n_in)?;
-                                        }
-                                        n_in += 1;
-                                        probe.tuples_in(1);
-                                        if shed_fraction > 0.0
-                                            && shedder.should_shed(shed_fraction, &t, i, frame_len)
-                                        {
-                                            n_shed += 1;
-                                            probe.shed(1);
-                                            continue;
-                                        }
-                                        op.on_tuple(port, t, &mut out)?;
-                                    }
-                                } else {
-                                    n_in += frame_len as u64;
-                                    probe.tuples_in(frame_len as u64);
-                                    let tuples = if shed_fraction > 0.0 {
-                                        let mut kept = Vec::with_capacity(frame_len);
-                                        let mut dropped = 0u64;
-                                        for (i, t) in b.tuples.into_iter().enumerate() {
-                                            if shedder.should_shed(shed_fraction, &t, i, frame_len)
-                                            {
-                                                dropped += 1;
-                                            } else {
-                                                kept.push(t);
-                                            }
-                                        }
-                                        n_shed += dropped;
-                                        probe.shed(dropped);
-                                        kept
-                                    } else {
-                                        b.tuples
-                                    };
-                                    op.on_batch(port, tuples, &mut out)?;
-                                }
-                                n_out += out.len() as u64;
-                                probe.tuples_out(out.len() as u64);
-                                // Queue span: sender flush → dequeue here;
-                                // Process span: dequeue → outputs ready.
-                                let out_ctx = ftrace.map(|ft| {
-                                    let ctx = probe.trace_span(
-                                        ft.ctx,
-                                        SpanKind::Queue,
-                                        ft.sent_ns,
-                                        t_deq,
-                                    );
-                                    let done = probe.trace_now();
-                                    (probe.trace_span(ctx, SpanKind::Process, t_deq, done), done)
+                                // Queue span: sender flush → dequeue here.
+                                let ctx = b.trace.map(|ft| {
+                                    let t_deq = clock.now_ns();
+                                    probe.trace_span(ft.ctx, SpanKind::Queue, ft.sent_ns, t_deq)
                                 });
-                                if let Some((c, _)) = out_ctx {
-                                    probe.trace_active(Some(c));
-                                    window_ctx = Some(c);
-                                }
-                                batcher.set_active_trace(out_ctx);
-                                for t in out.drain(..) {
-                                    batcher.scatter(
-                                        &route_meta,
-                                        &downstream,
-                                        &mut router,
-                                        &probe,
-                                        t,
-                                    )?;
-                                }
-                                batcher.set_active_trace(None);
+                                let ctx =
+                                    chain[0].step(port, b.tuples, ctx, None, injector, shed)?;
+                                let ctx = cascade(&mut chain, ctx, None, injector, &mut tail_busy)?;
+                                emit(&mut batcher, &mut chain, ctx)?;
                             }
                             Message::Watermark(wm) => {
                                 if let Some(w) = tracker.observe(env.channel, wm) {
-                                    out.clear();
-                                    op.on_watermark(w, &mut out);
-                                    n_out += out.len() as u64;
-                                    probe.tuples_out(out.len() as u64);
-                                    if !out.is_empty() {
-                                        probe.event(
-                                            FlightEventKind::PaneFired,
-                                            format!("watermark {w}: {} results", out.len()),
-                                        );
-                                    }
-                                    // Pane results continue the last traced
-                                    // frame's context (window residency shows
-                                    // as a gap on the critical path).
-                                    let wctx = if out.is_empty() {
-                                        None
-                                    } else {
-                                        window_ctx.take()
-                                    };
-                                    batcher.set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                                    for t in out.drain(..) {
-                                        batcher.scatter(
-                                            &route_meta,
-                                            &downstream,
-                                            &mut router,
-                                            &probe,
-                                            t,
-                                        )?;
-                                    }
-                                    batcher.set_active_trace(None);
+                                    let signal = Some(Signal::Watermark(w));
+                                    let ctx = chain[0].step(
+                                        0,
+                                        Vec::new(),
+                                        None,
+                                        signal,
+                                        injector,
+                                        None,
+                                    )?;
+                                    let ctx =
+                                        cascade(&mut chain, ctx, signal, injector, &mut tail_busy)?;
+                                    emit(&mut batcher, &mut chain, ctx)?;
                                     batcher.flush_then_broadcast(
                                         &route_meta,
                                         &downstream,
@@ -855,7 +801,9 @@ pub(crate) fn spawn_instances(
                             }
                             Message::Barrier(id) => {
                                 if aligner.barrier(id, env.channel) {
-                                    report_part(&probe, &coord_tx, inst_id, id, || op.snapshot())?;
+                                    for m in &chain {
+                                        m.report_part(&coord_tx, id)?;
+                                    }
                                     // Flush-then-forward keeps the barrier at
                                     // a batch boundary: all pre-checkpoint
                                     // tuples reach every downstream channel
@@ -876,7 +824,9 @@ pub(crate) fn spawn_instances(
                                 closed += 1;
                                 blocked[env.channel] = false;
                                 for id in aligner.close(env.channel) {
-                                    report_part(&probe, &coord_tx, inst_id, id, || op.snapshot())?;
+                                    for m in &chain {
+                                        m.report_part(&coord_tx, id)?;
+                                    }
                                     batcher.flush_then_broadcast(
                                         &route_meta,
                                         &downstream,
@@ -888,53 +838,42 @@ pub(crate) fn spawn_instances(
                                 }
                                 if let Some(w) = tracker.close_channel(env.channel) {
                                     if closed < channels {
-                                        out.clear();
-                                        op.on_watermark(w, &mut out);
-                                        n_out += out.len() as u64;
-                                        probe.tuples_out(out.len() as u64);
-                                        let wctx = if out.is_empty() {
-                                            None
-                                        } else {
-                                            window_ctx.take()
-                                        };
-                                        batcher
-                                            .set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                                        for t in out.drain(..) {
-                                            batcher.scatter(
-                                                &route_meta,
-                                                &downstream,
-                                                &mut router,
-                                                &probe,
-                                                t,
-                                            )?;
-                                        }
-                                        batcher.set_active_trace(None);
+                                        // The head fires without forwarding
+                                        // the watermark, so the members after
+                                        // it take the results as data only.
+                                        let ctx = chain[0].step(
+                                            0,
+                                            Vec::new(),
+                                            None,
+                                            Some(Signal::Watermark(w)),
+                                            injector,
+                                            None,
+                                        )?;
+                                        let ctx = cascade(
+                                            &mut chain,
+                                            ctx,
+                                            None,
+                                            injector,
+                                            &mut tail_busy,
+                                        )?;
+                                        emit(&mut batcher, &mut chain, ctx)?;
                                     }
                                 }
                             }
                         }
-                        if probe.enabled() {
-                            probe.window_state(op.panes_fired(), op.late_events());
+                        for m in &chain {
+                            m.window_state();
                         }
-                        probe.mark_busy(work);
+                        probe.mark_busy(work.map(|t0| t0 + tail_busy));
                     }
-                    out.clear();
-                    op.on_flush(&mut out);
-                    n_out += out.len() as u64;
-                    probe.tuples_out(out.len() as u64);
-                    if probe.enabled() {
-                        probe.window_state(op.panes_fired(), op.late_events());
+                    let signal = Some(Signal::Flush);
+                    let mut tail_busy = Duration::ZERO;
+                    let ctx = chain[0].step(0, Vec::new(), None, signal, injector, None)?;
+                    let ctx = cascade(&mut chain, ctx, signal, injector, &mut tail_busy)?;
+                    for m in &chain {
+                        m.window_state();
                     }
-                    let wctx = if out.is_empty() {
-                        None
-                    } else {
-                        window_ctx.take()
-                    };
-                    batcher.set_active_trace(wctx.map(|c| (c, probe.trace_now())));
-                    for t in out.drain(..) {
-                        batcher.scatter(&route_meta, &downstream, &mut router, &probe, t)?;
-                    }
-                    batcher.set_active_trace(None);
+                    emit(&mut batcher, &mut chain, ctx)?;
                     batcher.flush_then_broadcast(
                         &route_meta,
                         &downstream,
@@ -948,13 +887,9 @@ pub(crate) fn spawn_instances(
                         // last mid-storm level.
                         probe.pressure(PressureLevel::Normal as u64);
                     }
-                    let _ = stats_tx.send(InstanceStats {
-                        node: lnode,
-                        tuples_in: n_in,
-                        tuples_out: n_out,
-                        shed: n_shed,
-                        late: op.late_events(),
-                    });
+                    for m in &chain {
+                        let _ = stats_tx.send(m.stats());
+                    }
                     Ok(())
                 });
                 handles.push((lnode, index, worker));
@@ -962,6 +897,228 @@ pub(crate) fn spawn_instances(
         }
     }
     Ok(handles)
+}
+
+/// What a chain member fires after taking its input.
+#[derive(Clone, Copy)]
+enum Signal {
+    /// The combined input watermark advanced.
+    Watermark(i64),
+    /// End of all input.
+    Flush,
+}
+
+/// One operator instance of a chain: its state, counters and probe. The
+/// head takes frames from the chain's input channels; every later member
+/// takes the previous member's outputs, in the same thread.
+struct Member {
+    op: Box<dyn OperatorInstance>,
+    inst_id: usize,
+    node: usize,
+    index: usize,
+    /// Input port of the chain link feeding this member (unused by the
+    /// head, whose ports are its channels').
+    port: usize,
+    probe: Probe,
+    n_in: u64,
+    n_out: u64,
+    n_shed: u64,
+    /// Context of the last traced batch this member took, consumed when a
+    /// later pane fire emits results.
+    window_ctx: Option<TraceContext>,
+    /// Outputs of the last step, until the next member or the batcher
+    /// takes them.
+    out: Vec<Tuple>,
+    /// Context of a traced batch this tail member turned into nothing,
+    /// continued by its next batch, as the frame builder of the channel a
+    /// link replaces keeps a trace for the tuples that follow it.
+    carry: Option<TraceContext>,
+}
+
+impl Member {
+    fn new(
+        plan: &PhysicalPlan,
+        inst: &PhysicalInstance,
+        port: usize,
+        probe: Probe,
+        settings: &ExecSettings,
+        restore: Option<&[u8]>,
+    ) -> Result<Self> {
+        let mut op = plan.logical.nodes[inst.node].kind.instantiate();
+        if settings.run.overload.allowed_lateness_ms > 0 {
+            op.set_allowed_lateness(settings.run.overload.allowed_lateness_ms);
+        }
+        if let Some(b) = restore {
+            op.restore(b)?;
+        }
+        Ok(Member {
+            op,
+            inst_id: inst.id,
+            node: inst.node,
+            index: inst.index,
+            port,
+            probe,
+            n_in: 0,
+            n_out: 0,
+            n_shed: 0,
+            window_ctx: None,
+            out: Vec::new(),
+            carry: None,
+        })
+    }
+
+    /// Take `input` on `port` (dropping what `shed` picks), then fire
+    /// `signal`; the outputs go to `self.out`, which must be empty, and the
+    /// trace context they continue is returned. A traced input gets a
+    /// `Process` span on this member. An armed injector observes every
+    /// tuple, so the batch is then unrolled to keep fault points at tuple
+    /// granularity.
+    fn step(
+        &mut self,
+        port: usize,
+        input: Vec<Tuple>,
+        ctx: Option<TraceContext>,
+        signal: Option<Signal>,
+        injector: Option<&FaultInjector>,
+        mut shed: Option<(&mut Shedder, f64)>,
+    ) -> Result<Option<TraceContext>> {
+        let mut out = std::mem::take(&mut self.out);
+        let mut ctx = ctx;
+        if !input.is_empty() {
+            let t0 = if ctx.is_some() {
+                self.probe.trace_now()
+            } else {
+                0
+            };
+            let len = input.len();
+            if let Some(inj) = injector {
+                for (i, t) in input.into_iter().enumerate() {
+                    inj.check(self.node, self.index, self.n_in)?;
+                    self.n_in += 1;
+                    self.probe.tuples_in(1);
+                    if let Some((shedder, fraction)) = shed.as_mut() {
+                        if shedder.should_shed(*fraction, &t, i, len) {
+                            self.n_shed += 1;
+                            self.probe.shed(1);
+                            continue;
+                        }
+                    }
+                    self.op.on_tuple(port, t, &mut out)?;
+                }
+            } else {
+                self.n_in += len as u64;
+                self.probe.tuples_in(len as u64);
+                let kept = match shed {
+                    Some((shedder, fraction)) => {
+                        let kept: Vec<Tuple> = input
+                            .into_iter()
+                            .enumerate()
+                            .filter(|(i, t)| !shedder.should_shed(fraction, t, *i, len))
+                            .map(|(_, t)| t)
+                            .collect();
+                        let dropped = (len - kept.len()) as u64;
+                        self.n_shed += dropped;
+                        self.probe.shed(dropped);
+                        kept
+                    }
+                    None => input,
+                };
+                self.op.on_batch(port, kept, &mut out)?;
+            }
+            // Process span: taken → outputs ready.
+            if let Some(c) = ctx {
+                let c = self
+                    .probe
+                    .trace_span(c, SpanKind::Process, t0, self.probe.trace_now());
+                self.probe.trace_active(Some(c));
+                self.window_ctx = Some(c);
+                ctx = Some(c);
+            }
+        }
+        if let Some(signal) = signal {
+            let before = out.len();
+            match signal {
+                Signal::Watermark(w) => self.op.on_watermark(w, &mut out),
+                Signal::Flush => self.op.on_flush(&mut out),
+            }
+            let fired = out.len() - before;
+            if fired > 0 {
+                if let Signal::Watermark(w) = signal {
+                    self.probe.event(
+                        FlightEventKind::PaneFired,
+                        format!("watermark {w}: {fired} results"),
+                    );
+                }
+                // Pane results continue the last traced batch's context
+                // (window residency shows as a gap on the critical path).
+                let wctx = self.window_ctx.take();
+                ctx = ctx.or(wctx);
+            }
+        }
+        self.n_out += out.len() as u64;
+        self.probe.tuples_out(out.len() as u64);
+        if out.is_empty() {
+            ctx = None;
+        }
+        self.out = out;
+        Ok(ctx)
+    }
+
+    /// Report this member's part of checkpoint `id`.
+    fn report_part(&self, coord_tx: &Sender<Report>, id: u64) -> Result<()> {
+        report_part(&self.probe, coord_tx, self.inst_id, id, || {
+            self.op.snapshot()
+        })
+    }
+
+    /// Publish the window counters to the probe.
+    fn window_state(&self) {
+        if self.probe.enabled() {
+            self.probe
+                .window_state(self.op.panes_fired(), self.op.late_events());
+        }
+    }
+
+    fn stats(&self) -> InstanceStats {
+        InstanceStats {
+            node: self.node,
+            tuples_in: self.n_in,
+            tuples_out: self.n_out,
+            shed: self.n_shed,
+            late: self.op.late_events(),
+        }
+    }
+}
+
+/// Pass the head's outputs, continuing `ctx`, through the other members
+/// of `chain`, each taking the whole batch and then firing `signal` before
+/// the next; returns the context the last member's outputs continue. Their
+/// time is added to `tail_busy`.
+fn cascade(
+    chain: &mut [Member],
+    mut ctx: Option<TraceContext>,
+    signal: Option<Signal>,
+    injector: Option<&FaultInjector>,
+    tail_busy: &mut Duration,
+) -> Result<Option<TraceContext>> {
+    for j in 1..chain.len() {
+        let (before, after) = chain.split_at_mut(j);
+        let prev = &mut before[j - 1].out;
+        if prev.is_empty() && signal.is_none() {
+            return Ok(None);
+        }
+        // The buffer left behind is sized for a batch like this one.
+        let input = std::mem::replace(prev, Vec::with_capacity(prev.len()));
+        let m = &mut after[0];
+        let t0 = m.probe.now_if();
+        let taken = ctx.or(m.carry.take());
+        ctx = m.step(m.port, input, taken, signal, injector, None)?;
+        if ctx.is_none() {
+            m.carry = taken;
+        }
+        *tail_busy += m.probe.mark_busy(t0);
+    }
+    Ok(ctx)
 }
 
 /// Report instance `inst`'s part of checkpoint `id`, encoded by `snapshot`

@@ -392,7 +392,7 @@ pub trait OperatorInstance: Send {
 
     /// Process a whole micro-batch arriving on `port`, appending outputs to
     /// `out`. The default loops [`OperatorInstance::on_tuple`]; operators
-    /// with a cheaper batch path (fused chains) override it.
+    /// with a cheaper batch path override it.
     fn on_batch(&mut self, port: usize, tuples: Vec<Tuple>, out: &mut Vec<Tuple>) -> Result<()> {
         for t in tuples {
             self.on_tuple(port, t, out)?;

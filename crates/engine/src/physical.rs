@@ -5,8 +5,16 @@
 //! simulator in `pdsp-cluster` — consume the same [`PhysicalPlan`], so a PQP
 //! measured on real threads and one simulated on a modeled cluster share
 //! identical routing behaviour.
+//!
+//! Expansion also records operator *chains* (see [`crate::chaining`]): a
+//! `Forward` edge whose producer has no other out-edge and whose consumer
+//! has no other in-edge, neither end a source or a sink, becomes a chain
+//! link. Instance k of the consumer then runs in the thread of instance k
+//! of the producer, fed its outputs directly: the link gets no channel slot
+//! and no out-route, only an entry in [`PhysicalPlan::chain_next`].
 
 use crate::error::Result;
+use crate::operator::OpKind;
 use crate::plan::{LogicalPlan, NodeId, Partitioning};
 use crate::value::Tuple;
 
@@ -45,6 +53,16 @@ pub struct OutRoute {
     pub targets: Vec<ChannelRef>,
 }
 
+/// A chain link out of one instance: the instance that runs next in the
+/// same thread, and the input port it is fed on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainLink {
+    /// Physical instance id of the next chain member.
+    pub instance: usize,
+    /// Logical input port of the chain link's edge at that member.
+    pub port: usize,
+}
+
 /// A physical plan: instances plus per-instance channel topology.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
@@ -67,8 +85,11 @@ pub struct PhysicalPlan {
     /// runtimes can validate frames — and a future columnar plane can pick
     /// typed layouts — without re-running inference.
     pub edge_schemas: Vec<crate::value::Schema>,
-    /// instance id -> routes for each out-edge (logical out-edge order).
+    /// instance id -> routes for each out-edge that crosses a channel
+    /// (logical out-edge order; a chain link has none).
     pub out_routes: Vec<Vec<OutRoute>>,
+    /// instance id -> the chain member fed by its outputs, if it is linked.
+    pub chain_next: Vec<Option<ChainLink>>,
 }
 
 impl PhysicalPlan {
@@ -89,9 +110,23 @@ impl PhysicalPlan {
             }
         }
 
+        // Chain links, per logical edge.
+        let is_link: Vec<bool> = logical
+            .edges
+            .iter()
+            .map(|e| {
+                e.partitioning == Partitioning::Forward
+                    && logical.out_edges(e.from).len() == 1
+                    && logical.in_edges(e.to).len() == 1
+                    && !matches!(logical.nodes[e.from].kind, OpKind::Source { .. })
+                    && !matches!(logical.nodes[e.to].kind, OpKind::Sink)
+            })
+            .collect();
+
         // Assign input channel slots per instance: iterate in-edges sorted
         // by port; forward edges contribute one channel (the matching
-        // upstream index), others one channel per upstream instance.
+        // upstream index), others one channel per upstream instance, and
+        // chain links none.
         let n_inst = instances.len();
         let mut input_channel_count = vec![0usize; n_inst];
         let mut channel_ports: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
@@ -110,6 +145,9 @@ impl PhysicalPlan {
                         .iter()
                         .position(|e| std::ptr::eq(e as *const _, in_edge as *const _))
                         .expect("edge in plan");
+                    if is_link[edge_index] {
+                        continue;
+                    }
                     let upstreams = &node_instances[in_edge.from];
                     match in_edge.partitioning {
                         Partitioning::Forward => {
@@ -148,8 +186,9 @@ impl PhysicalPlan {
             }
         }
 
-        // Build out-routes per sender instance.
+        // Build out-routes (or the chain link) per sender instance.
         let mut out_routes: Vec<Vec<OutRoute>> = vec![Vec::new(); n_inst];
+        let mut chain_next: Vec<Option<ChainLink>> = vec![None; n_inst];
         for node in &logical.nodes {
             let outs = logical.out_edges(node.id);
             for &inst_id in &node_instances[node.id] {
@@ -161,6 +200,13 @@ impl PhysicalPlan {
                         .position(|e| std::ptr::eq(e as *const _, *out_edge as *const _))
                         .expect("edge in plan");
                     let downstream = &node_instances[out_edge.to];
+                    if is_link[edge_index] {
+                        chain_next[inst_id] = Some(ChainLink {
+                            instance: downstream[inst_index],
+                            port: out_edge.port,
+                        });
+                        continue;
+                    }
                     let targets: Vec<ChannelRef> = match out_edge.partitioning {
                         Partitioning::Forward => {
                             let to = downstream[inst_index];
@@ -194,7 +240,34 @@ impl PhysicalPlan {
             channel_edges,
             edge_schemas,
             out_routes,
+            chain_next,
         })
+    }
+
+    /// The chain starting at `head`: `head` and every instance linked after
+    /// it, in the order they process a batch.
+    pub(crate) fn chain(&self, head: usize) -> Vec<usize> {
+        let mut members = vec![head];
+        while let Some(link) = self.chain_next[*members.last().expect("non-empty")] {
+            members.push(link.instance);
+        }
+        members
+    }
+
+    /// instance id -> the head of its chain (itself when it is not a chain
+    /// member, or heads one): the instance whose thread runs it.
+    pub(crate) fn chain_heads(&self) -> Vec<usize> {
+        let mut heads: Vec<usize> = (0..self.instance_count()).collect();
+        // A member visited before its head labels its own suffix of the
+        // chain; the head, visited later, relabels the whole chain.
+        for i in 0..heads.len() {
+            if heads[i] == i {
+                for member in self.chain(i) {
+                    heads[member] = i;
+                }
+            }
+        }
+        heads
     }
 
     /// Schema of the stream arriving on `channel` at `instance`, from the
@@ -292,7 +365,6 @@ pub enum RouteTargets {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Predicate};
-    use crate::operator::OpKind;
     use crate::value::{FieldType, Schema, Value};
 
     fn plan(filter_parallelism: usize) -> LogicalPlan {

@@ -90,14 +90,14 @@ pub struct RunConfig {
     /// bit-for-bit as the measurable baseline.
     pub batch_size: usize,
     /// Rewrite the logical plan with [`crate::chaining::fuse`] before
-    /// expansion, collapsing Forward-connected stateless chains into one
-    /// operator that runs a stage-major tight loop per batch — no
-    /// intermediate channel, no per-stage frames. Plan-level rewrite:
-    /// honored by drivers that expand logical plans (the controller), not
-    /// by [`ThreadedRuntime::run`], which executes an already-expanded
-    /// physical plan as given. `false` preserves the unfused topology —
-    /// together with `batch_size == 1` that is the historical per-tuple
-    /// engine, bit for bit.
+    /// expansion, turning hash exchanges that send every tuple back to the
+    /// instance index it came from into forward edges, which expansion
+    /// then chains: the consumer runs in the producer's thread, with no
+    /// channel between them. Plan-level rewrite: honored by drivers that
+    /// expand logical plans (the controller), not by
+    /// [`ThreadedRuntime::run`], which executes an already-expanded
+    /// physical plan as given. `false` keeps the authored exchanges;
+    /// forward edges the plan already has chain either way.
     pub operator_fusion: bool,
     /// Overload-resilience ladder: pressure-driven adaptive batching and
     /// accounted load shedding, plus watermark-aware allowed lateness.

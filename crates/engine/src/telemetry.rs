@@ -14,7 +14,7 @@ use pdsp_telemetry::{
 };
 use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Build per-run telemetry state sized to `plan`: one metrics shard per
 /// physical instance, labelled with the logical operator name and hosted on
@@ -311,11 +311,17 @@ impl Probe {
         }
     }
 
-    /// Account the time since `since` as busy (processing a message).
+    /// Account the time since `since` as busy (processing a message) and
+    /// return it; zero when disabled.
     #[inline]
-    pub fn mark_busy(&self, since: Option<Instant>) {
-        if let (Some(m), Some(t0)) = (&self.metrics, since) {
-            m.add_busy_ns(t0.elapsed().as_nanos() as u64);
+    pub fn mark_busy(&self, since: Option<Instant>) -> Duration {
+        match (&self.metrics, since) {
+            (Some(m), Some(t0)) => {
+                let busy = t0.elapsed();
+                m.add_busy_ns(busy.as_nanos() as u64);
+                busy
+            }
+            _ => Duration::ZERO,
         }
     }
 

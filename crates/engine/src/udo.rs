@@ -147,7 +147,7 @@ pub trait Udo: Send {
 
     /// Process a whole micro-batch from the given input port. The default
     /// loops [`Udo::on_tuple`]; override when a batch can be processed more
-    /// cheaply (e.g. fused operator chains).
+    /// cheaply.
     fn on_batch(&mut self, port: usize, tuples: Vec<Tuple>, out: &mut Vec<Tuple>) {
         for t in tuples {
             self.on_tuple(port, t, out);

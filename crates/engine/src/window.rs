@@ -421,11 +421,7 @@ impl KeyedWindower {
                 // with watermark == i64::MAX.
                 next_end = next_end.saturating_add(slide);
                 // Panes entirely before the next window's start are dead.
-                let next_start = next_end - length;
-                let expired: Vec<i64> = state.panes.range(..next_start).map(|(k, _)| *k).collect();
-                for k in expired {
-                    state.panes.remove(&k);
-                }
+                state.panes = state.panes.split_off(&(next_end - length));
             }
             state.next_end = Some(next_end.min(first_end_above));
         }
