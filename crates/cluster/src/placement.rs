@@ -30,18 +30,25 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Compute a placement for `plan` on `cluster`.
+    /// Compute a placement for `plan` on `cluster`. The strategy places
+    /// chain heads; every other chain member goes where its head goes, since
+    /// the head's thread runs it.
     pub fn compute(plan: &PhysicalPlan, cluster: &Cluster, strategy: PlacementStrategy) -> Self {
         assert!(!cluster.is_empty(), "cannot place on an empty cluster");
-        let n_inst = plan.instance_count();
-        let node_of = match strategy {
-            PlacementStrategy::RoundRobin => (0..n_inst).map(|i| i % cluster.len()).collect(),
+        let heads = plan.chain_heads();
+        let is_head = |i: usize| heads[i] == i;
+        let mut node_of = vec![0usize; plan.instance_count()];
+        match strategy {
+            PlacementStrategy::RoundRobin => {
+                for (k, h) in (0..heads.len()).filter(|&i| is_head(i)).enumerate() {
+                    node_of[h] = k % cluster.len();
+                }
+            }
             PlacementStrategy::CoreWeighted => {
                 // Greedy: always place on the node with the lowest
                 // occupancy-to-cores ratio.
                 let mut load = vec![0usize; cluster.len()];
-                let mut node_of = Vec::with_capacity(n_inst);
-                for _ in 0..n_inst {
+                for h in (0..heads.len()).filter(|&i| is_head(i)) {
                     let best = (0..cluster.len())
                         .min_by(|&a, &b| {
                             let ra = load[a] as f64 / cluster.nodes[a].node_type.cores as f64;
@@ -50,18 +57,16 @@ impl Placement {
                         })
                         .unwrap();
                     load[best] += 1;
-                    node_of.push(best);
+                    node_of[h] = best;
                 }
-                node_of
             }
             PlacementStrategy::OperatorLocality => {
                 // Pack each logical node's instances onto consecutive nodes,
                 // filling cores before moving on.
-                let mut node_of = vec![0usize; n_inst];
                 let mut cursor = 0usize; // node index
                 let mut used = 0usize; // cores used on cursor node
                 for node in &plan.logical.nodes {
-                    for &inst in &plan.node_instances[node.id] {
+                    for &inst in plan.node_instances[node.id].iter().filter(|&&i| is_head(i)) {
                         if used >= cluster.nodes[cursor].node_type.cores {
                             cursor = (cursor + 1) % cluster.len();
                             used = 0;
@@ -70,9 +75,11 @@ impl Placement {
                         used += 1;
                     }
                 }
-                node_of
             }
-        };
+        }
+        for (i, &h) in heads.iter().enumerate() {
+            node_of[i] = node_of[h];
+        }
         Placement { node_of }
     }
 
@@ -112,6 +119,8 @@ impl Placement {
 mod tests {
     use super::*;
     use pdsp_engine::expr::Predicate;
+    use pdsp_engine::operator::OpKind;
+    use pdsp_engine::plan::Partitioning;
     use pdsp_engine::value::{FieldType, Schema};
     use pdsp_engine::PlanBuilder;
 
@@ -183,6 +192,32 @@ mod tests {
             PlacementStrategy::RoundRobin,
         );
         assert!(ten.cross_node_fraction(&phys) > one.cross_node_fraction(&phys));
+    }
+
+    #[test]
+    fn chain_members_share_their_heads_node() {
+        // src -> f1 -> f2 -> sink with a forward link f1 -> f2: f2 runs in
+        // f1's thread.
+        let f2 = OpKind::Filter {
+            predicate: Predicate::True,
+            selectivity: 1.0,
+        };
+        let logical = PlanBuilder::new()
+            .source("src", Schema::of(&[FieldType::Int]), 1)
+            .filter("f1", Predicate::True, 1.0)
+            .chain("f2", f2, Some(Partitioning::Forward))
+            .sink("sink")
+            .build()
+            .unwrap();
+        let phys = PhysicalPlan::expand(&logical).unwrap();
+        assert_eq!(phys.chain_next[1].map(|link| link.instance), Some(2));
+        for strategy in [
+            PlacementStrategy::RoundRobin,
+            PlacementStrategy::CoreWeighted,
+        ] {
+            let p = Placement::compute(&phys, &Cluster::heterogeneous_mixed(4), strategy);
+            assert_eq!(p.node_of[1], p.node_of[2], "{strategy:?}");
+        }
     }
 
     #[test]

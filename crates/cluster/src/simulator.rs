@@ -1148,9 +1148,10 @@ mod tests {
     #[test]
     fn chain_links_pay_no_hop_or_transfer() {
         // src -> f1 -> f2 -> sink, one instance each, round-robin over four
-        // nodes, so f1 and f2 sit on different nodes. Chained, f1 hands its
-        // batches to f2 in its own thread; over a rebalance between the same
-        // two instances each batch pays a hop, wire time and serialization.
+        // nodes. Chained, f2 runs on f1's node and f1 hands it its batches in
+        // its own thread; over a rebalance the two are separate tasks on
+        // different nodes, and each batch pays a hop, wire time and
+        // serialization.
         let plan = |link: Partitioning| {
             PlanBuilder::new()
                 .source("src", Schema::of(&[FieldType::Int, FieldType::Double]), 1)

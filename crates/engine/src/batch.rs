@@ -86,8 +86,13 @@ impl<T> Inbox for mpsc::Receiver<T> {
     }
 }
 
-/// Per-destination micro-batch builders for one worker's out-edges.
+/// Per-destination micro-batch builders for one worker's out-edges, with
+/// the routes, senders and partitioner state they serve.
 pub(crate) struct EdgeBatcher {
+    routes: Vec<OutRoute>,
+    /// `downstream[route][target]` delivers into that target's channel.
+    downstream: Vec<Vec<Sender<Envelope>>>,
+    router: RouterState,
     max: usize,
     /// `builders[route][target]` accumulates tuples bound for that slot.
     builders: Vec<Vec<Vec<Tuple>>>,
@@ -107,9 +112,15 @@ fn disconnected() -> EngineError {
 }
 
 impl EdgeBatcher {
-    /// Builders shaped to `routes`, flushing at `max` tuples.
-    pub(crate) fn new(routes: &[OutRoute], max: usize) -> Self {
+    /// Builders for `routes`, sending through `downstream` (one sender per
+    /// route target) and flushing at `max` tuples.
+    pub(crate) fn new(
+        routes: Vec<OutRoute>,
+        downstream: Vec<Vec<Sender<Envelope>>>,
+        max: usize,
+    ) -> Self {
         EdgeBatcher {
+            router: RouterState::new(routes.len()),
             max: max.max(1),
             builders: routes
                 .iter()
@@ -120,6 +131,8 @@ impl EdgeBatcher {
                 .iter()
                 .map(|r| r.targets.iter().map(|_| None).collect())
                 .collect(),
+            routes,
+            downstream,
         }
     }
 
@@ -143,53 +156,36 @@ impl EdgeBatcher {
     /// The tuple is cloned only when it has more than one destination
     /// (multiple out-edges or broadcast partitioning); the final
     /// destination always receives the original by move.
-    pub(crate) fn scatter(
-        &mut self,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
-        router: &mut RouterState,
-        probe: &Probe,
-        tuple: Tuple,
-    ) -> Result<()> {
-        let Some(last) = routes.len().checked_sub(1) else {
+    pub(crate) fn scatter(&mut self, probe: &Probe, tuple: Tuple) -> Result<()> {
+        let Some(last) = self.routes.len().checked_sub(1) else {
             return Ok(());
         };
-        for (ri, route) in routes.iter().enumerate().take(last) {
-            match router.select(ri, route, &tuple) {
-                RouteTargets::One(ti) => {
-                    self.push(routes, downstream, probe, ri, ti, tuple.clone())?;
-                }
+        for ri in 0..last {
+            match self.router.select(ri, &self.routes[ri], &tuple) {
+                RouteTargets::One(ti) => self.push(probe, ri, ti, tuple.clone())?,
                 RouteTargets::All => {
-                    for ti in 0..route.targets.len() {
-                        self.push(routes, downstream, probe, ri, ti, tuple.clone())?;
+                    for ti in 0..self.routes[ri].targets.len() {
+                        self.push(probe, ri, ti, tuple.clone())?;
                     }
                 }
             }
         }
-        match router.select(last, &routes[last], &tuple) {
-            RouteTargets::One(ti) => self.push(routes, downstream, probe, last, ti, tuple),
+        match self.router.select(last, &self.routes[last], &tuple) {
+            RouteTargets::One(ti) => self.push(probe, last, ti, tuple),
             RouteTargets::All => {
-                let fanout = routes[last].targets.len();
+                let fanout = self.routes[last].targets.len();
                 for ti in 0..fanout.saturating_sub(1) {
-                    self.push(routes, downstream, probe, last, ti, tuple.clone())?;
+                    self.push(probe, last, ti, tuple.clone())?;
                 }
                 match fanout.checked_sub(1) {
-                    Some(ti) => self.push(routes, downstream, probe, last, ti, tuple),
+                    Some(ti) => self.push(probe, last, ti, tuple),
                     None => Ok(()),
                 }
             }
         }
     }
 
-    fn push(
-        &mut self,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
-        probe: &Probe,
-        ri: usize,
-        ti: usize,
-        tuple: Tuple,
-    ) -> Result<()> {
+    fn push(&mut self, probe: &Probe, ri: usize, ti: usize, tuple: Tuple) -> Result<()> {
         // The direct-send shortcut is only safe when nothing is buffered
         // for this slot: adaptive batching can shrink the bound back to 1
         // while the builder still holds tuples from a larger bound, and a
@@ -197,9 +193,9 @@ impl EdgeBatcher {
         // `Message::Data` frames carry no trace slot, so a `batch_size == 1`
         // data plane is untraced by design.
         if self.max == 1 && self.builders[ri][ti].is_empty() {
-            downstream[ri][ti]
+            self.downstream[ri][ti]
                 .send(Envelope {
-                    channel: routes[ri].targets[ti].channel,
+                    channel: self.routes[ri].targets[ti].channel,
                     msg: Message::Data(tuple),
                 })
                 .map_err(|_| disconnected())?;
@@ -218,15 +214,13 @@ impl EdgeBatcher {
             }
         }
         if builder.len() >= self.max {
-            self.flush_one(routes, downstream, probe, ri, ti, FlushReason::Size)?;
+            self.flush_one(probe, ri, ti, FlushReason::Size)?;
         }
         Ok(())
     }
 
     fn flush_one(
         &mut self,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
         probe: &Probe,
         ri: usize,
         ti: usize,
@@ -249,9 +243,9 @@ impl EdgeBatcher {
                 wire_ns: 0,
             }
         });
-        downstream[ri][ti]
+        self.downstream[ri][ti]
             .send(Envelope {
-                channel: routes[ri].targets[ti].channel,
+                channel: self.routes[ri].targets[ti].channel,
                 msg: Message::Batch(Batch { tuples, trace }),
             })
             .map_err(|_| disconnected())
@@ -263,8 +257,6 @@ impl EdgeBatcher {
     pub(crate) fn next_input<I: Inbox>(
         &mut self,
         inbox: &I,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
         probe: &Probe,
     ) -> Result<Option<I::Item>> {
         match inbox.poll() {
@@ -272,25 +264,19 @@ impl EdgeBatcher {
             Ok(None) => {}
             Err(Closed) => return Ok(None),
         }
-        self.flush_all(routes, downstream, probe, FlushReason::Linger)?;
+        self.flush_all(probe, FlushReason::Linger)?;
         Ok(inbox.wait().ok())
     }
 
     /// Flush every non-empty builder (about to wait, markers, EOS).
-    pub(crate) fn flush_all(
-        &mut self,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
-        probe: &Probe,
-        reason: FlushReason,
-    ) -> Result<()> {
+    pub(crate) fn flush_all(&mut self, probe: &Probe, reason: FlushReason) -> Result<()> {
         // No `max == 1` shortcut here: the bound can shrink to 1 at runtime
         // (adaptive batching) while builders still hold tuples from a larger
         // bound, and those must drain. With a static max of 1 the builders
         // are always empty, so the loop is free.
         for ri in 0..self.builders.len() {
             for ti in 0..self.builders[ri].len() {
-                self.flush_one(routes, downstream, probe, ri, ti, reason)?;
+                self.flush_one(probe, ri, ti, reason)?;
             }
         }
         Ok(())
@@ -301,14 +287,12 @@ impl EdgeBatcher {
     /// prefix before a marker is exactly the pre-marker emission order.
     pub(crate) fn flush_then_broadcast(
         &mut self,
-        routes: &[OutRoute],
-        downstream: &[Vec<Sender<Envelope>>],
         probe: &Probe,
         msg: Message,
         reason: FlushReason,
     ) -> Result<()> {
-        self.flush_all(routes, downstream, probe, reason)?;
-        for (route, senders) in routes.iter().zip(downstream) {
+        self.flush_all(probe, reason)?;
+        for (route, senders) in self.routes.iter().zip(&self.downstream) {
             for (target, tx) in route.targets.iter().zip(senders) {
                 tx.send(Envelope {
                     channel: target.channel,
@@ -360,12 +344,10 @@ mod tests {
         let routes = vec![route_to(1, Partitioning::Forward)];
         let (tx, rx) = unbounded();
         let downstream = vec![vec![tx]];
-        let mut b = EdgeBatcher::new(&routes, 4);
-        let mut router = RouterState::new(1);
+        let mut b = EdgeBatcher::new(routes, downstream, 4);
         let probe = Probe::default();
         for i in 0..10 {
-            b.scatter(&routes, &downstream, &mut router, &probe, tuple(i))
-                .unwrap();
+            b.scatter(&probe, tuple(i)).unwrap();
         }
         // 10 tuples at max 4: two full frames sent, two tuples pending.
         let sizes: Vec<usize> = drain(&rx)
@@ -376,8 +358,7 @@ mod tests {
             })
             .collect();
         assert_eq!(sizes, vec![4, 4]);
-        b.flush_all(&routes, &downstream, &probe, FlushReason::Eos)
-            .unwrap();
+        b.flush_all(&probe, FlushReason::Eos).unwrap();
         match rx.try_recv().unwrap().msg {
             Message::Batch(batch) => assert_eq!(batch.len(), 2),
             other => panic!("expected batch, got {other:?}"),
@@ -389,11 +370,9 @@ mod tests {
         let routes = vec![route_to(1, Partitioning::Forward)];
         let (tx, rx) = unbounded();
         let downstream = vec![vec![tx]];
-        let mut b = EdgeBatcher::new(&routes, 1);
-        let mut router = RouterState::new(1);
+        let mut b = EdgeBatcher::new(routes, downstream, 1);
         let probe = Probe::default();
-        b.scatter(&routes, &downstream, &mut router, &probe, tuple(7))
-            .unwrap();
+        b.scatter(&probe, tuple(7)).unwrap();
         assert!(matches!(rx.try_recv().unwrap().msg, Message::Data(_)));
     }
 
@@ -403,21 +382,13 @@ mod tests {
         let (tx0, rx0) = unbounded();
         let (tx1, rx1) = unbounded();
         let downstream = vec![vec![tx0, tx1]];
-        let mut b = EdgeBatcher::new(&routes, 64);
-        let mut router = RouterState::new(1);
+        let mut b = EdgeBatcher::new(routes, downstream, 64);
         let probe = Probe::default();
         for i in 0..10 {
-            b.scatter(&routes, &downstream, &mut router, &probe, tuple(i))
-                .unwrap();
+            b.scatter(&probe, tuple(i)).unwrap();
         }
-        b.flush_then_broadcast(
-            &routes,
-            &downstream,
-            &probe,
-            Message::Watermark(9),
-            FlushReason::Marker,
-        )
-        .unwrap();
+        b.flush_then_broadcast(&probe, Message::Watermark(9), FlushReason::Marker)
+            .unwrap();
         let mut total = 0usize;
         for rx in [rx0, rx1] {
             let frames: Vec<Message> = drain(&rx);
@@ -443,17 +414,14 @@ mod tests {
         let (in_tx, in_rx) = unbounded::<Vec<i64>>();
         in_tx.send(vec![1, 2, 3]).unwrap();
         std::thread::scope(|s| {
-            let (routes, downstream) = (&routes, &downstream);
             let worker = s.spawn(move || {
-                let mut b = EdgeBatcher::new(routes, 64);
-                let mut router = RouterState::new(1);
+                let mut b = EdgeBatcher::new(routes, downstream, 64);
                 let probe = Probe::default();
                 let mut frames = 0;
-                while let Some(frame) = b.next_input(&in_rx, routes, downstream, &probe).unwrap() {
+                while let Some(frame) = b.next_input(&in_rx, &probe).unwrap() {
                     frames += 1;
                     for i in frame {
-                        b.scatter(routes, downstream, &mut router, &probe, tuple(i))
-                            .unwrap();
+                        b.scatter(&probe, tuple(i)).unwrap();
                     }
                 }
                 frames
@@ -478,12 +446,10 @@ mod tests {
         let routes = vec![route_to(3, Partitioning::Broadcast)];
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded()).unzip();
         let downstream = vec![txs];
-        let mut b = EdgeBatcher::new(&routes, 2);
-        let mut router = RouterState::new(1);
+        let mut b = EdgeBatcher::new(routes, downstream, 2);
         let probe = Probe::default();
         for i in 0..2 {
-            b.scatter(&routes, &downstream, &mut router, &probe, tuple(i))
-                .unwrap();
+            b.scatter(&probe, tuple(i)).unwrap();
         }
         for rx in rxs {
             match rx.try_recv().unwrap().msg {

@@ -69,15 +69,15 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{
-    decode_position, join_instances, spawn_instances, Attempt, ExecSettings, InstanceStats, Report,
-    Reporters, RunClock,
+    decode_position, input_channels, join_instances, spawn_instances, Attempt, ExecSettings,
+    InstanceStats, Report, Reporters, RunClock,
 };
 use crate::fault::{supervise, DeliveryMode, FtConfig, FtRunResult};
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::runtime::{Envelope, RunConfig};
 use crate::testplan::{self, PlanAndSources};
-use crate::transport::Transport;
+use crate::transport::SenderTable;
 use crate::wire::{decode_frame, encode_frame};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -282,26 +282,6 @@ enum ToCoord {
 enum ToWorker {
     Deploy(Box<DeploySpec>),
     Start,
-}
-
-// ---------------------------------------------------------------------------
-// Mesh transport (worker side)
-// ---------------------------------------------------------------------------
-
-/// Transport whose endpoints are real channels for local instances and
-/// TCP-forwarding proxy channels for remote ones.
-struct MeshTransport {
-    endpoints: Vec<Option<Sender<Envelope>>>,
-}
-
-impl Transport for MeshTransport {
-    fn sender(&self, instance: usize) -> Option<Sender<Envelope>> {
-        self.endpoints.get(instance).and_then(|s| s.clone())
-    }
-
-    fn kind(&self) -> &'static str {
-        "tcp"
-    }
 }
 
 /// `assignment[instance id] == worker id`: instances round-robin over
@@ -686,13 +666,7 @@ impl WorkerMain {
         let restore: HashMap<usize, Vec<u8>> = deploy.restore.iter().cloned().collect();
         let frame_cap = deploy.run.frame_capacity();
 
-        let mut endpoints: Vec<Option<Sender<Envelope>>> = vec![None; n];
-        let mut receivers: Vec<Option<Receiver<Envelope>>> = (0..n).map(|_| None).collect();
-        for &i in &mine {
-            let (tx, rx) = bounded::<Envelope>(frame_cap);
-            endpoints[i] = Some(tx);
-            receivers[i] = Some(rx);
-        }
+        let (mut endpoints, mut receivers) = input_channels(&plan, Some(&mine), frame_cap);
 
         // Telemetry: the registry covers the whole plan (indices align with
         // instance ids); only local instances record into it. The span-id
@@ -741,7 +715,10 @@ impl WorkerMain {
             self.connect_attempts,
             deploy.epoch_ns,
         )?;
-        let transport = MeshTransport { endpoints };
+        let transport = SenderTable {
+            senders: endpoints,
+            kind: "tcp",
+        };
 
         send_json(&mut *writer.lock(), &ToCoord::Ready { worker: worker_id })
             .map_err(|e| io_err("send ready", e))?;

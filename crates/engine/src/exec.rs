@@ -2,16 +2,19 @@
 //!
 //! One "attempt" spawns a thread per operator chain (see
 //! [`crate::chaining`]; an unchained instance is a chain of one) and runs
-//! it to completion (or failure). The loops here carry the full protocol
-//! stack — micro-batching, watermarks, aligned Chandy–Lamport barriers, the
-//! overload-escalation ladder — and are used by three drivers:
+//! it to completion (or failure) in one of two loops: a source's, or
+//! [`ChainWorker`]'s, which runs every other chain, sinks included, takes
+//! its channels' frames through [`Inputs`] and sends its output on, or,
+//! for a sink, into the delivery log. The loops carry the full protocol
+//! stack — micro-batching, watermarks, aligned Chandy–Lamport barriers,
+//! the overload-escalation ladder — and are used by three drivers:
 //!
 //! * [`crate::runtime::ThreadedRuntime`] runs every instance in-process
 //!   with barriers off (`ckpt_interval: 0`), through [`run_local_attempt`];
 //! * [`crate::fault::FtRuntime`] runs every instance in-process with
 //!   barriers on, through [`run_local_attempt`], once per restart;
 //! * the distributed worker (see [`crate::distributed`]) runs only the
-//!   instances placed on it, over a mesh transport whose remote endpoints
+//!   instances placed on it, over a transport whose remote endpoints
 //!   serialize frames onto TCP connections.
 //!
 //! The loops are transport-agnostic: downstream edges are plain
@@ -24,13 +27,13 @@
 use crate::batch::{EdgeBatcher, FlushReason};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultInjector;
-use crate::message::{Message, WatermarkTracker};
+use crate::message::{FrameTrace, Message};
 use crate::operator::{OpKind, OperatorInstance};
-use crate::physical::{PhysicalInstance, PhysicalPlan, RouterState};
+use crate::physical::{PhysicalInstance, PhysicalPlan};
 use crate::pressure::{PressureGauge, PressureLevel, Shedder};
 use crate::runtime::{Envelope, OperatorStats, RunConfig, RunResult, SourceFactory};
 use crate::telemetry::Probe;
-use crate::transport::{LocalTransport, Transport};
+use crate::transport::{SenderTable, Transport};
 use crate::value::Tuple;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use pdsp_telemetry::{FlightEventKind, RunTelemetry, SpanKind, TraceContext};
@@ -139,98 +142,149 @@ pub(crate) fn decode_position(bytes: Option<&Vec<u8>>, what: &str) -> Result<u64
     })
 }
 
-/// Aligns checkpoint barriers across an instance's input channels. A
-/// channel at EOS counts as having delivered every barrier (its prefix is
-/// fully processed, so the snapshot stays consistent).
-pub(crate) struct BarrierAligner {
-    channels: usize,
-    received: HashMap<u64, Vec<bool>>,
+/// What a chain takes from its [`Inputs`].
+#[derive(Debug, PartialEq)]
+enum Event {
+    /// A data frame: the input port of its channel, its tuples and its
+    /// trace.
+    Data(usize, Vec<Tuple>, Option<FrameTrace>),
+    /// The watermark minimum advanced: fire it and forward it.
+    Watermark(i64),
+    /// A channel closed and released the watermark minimum while another is
+    /// still open: fire it, but do not forward it.
+    Released(i64),
+    /// Every open channel delivered barrier `id`: take checkpoint `id`.
+    Checkpoint(u64),
+}
+
+/// The input side of a chain head, per input channel: barrier alignment,
+/// the watermark minimum and end-of-stream close-out. Under exactly-once a
+/// channel that delivered a barrier is blocked until the barrier aligns,
+/// and the frames it sends meanwhile — batches included — are buffered
+/// whole and replayed in arrival order, which keeps exactly-once blocking
+/// correct at batch granularity. A closed channel counts as having
+/// delivered every barrier (its prefix is fully processed, so the snapshot
+/// stays consistent) and no longer holds the watermark back.
+struct Inputs {
+    /// Input port of each channel.
+    ports: Vec<usize>,
+    exactly_once: bool,
+    /// Newest watermark of each channel; `i64::MAX` once it closed.
+    watermarks: Vec<i64>,
+    /// The minimum over `watermarks`, as last handed out.
+    watermark: i64,
     closed: Vec<bool>,
+    open: usize,
+    blocked: Vec<bool>,
+    pending: Vec<VecDeque<Envelope>>,
+    /// Checkpoint id -> the channels that delivered its barrier.
+    barriers: BTreeMap<u64, Vec<bool>>,
+    /// Events an end of stream released, handed out before anything else.
+    released: VecDeque<Event>,
 }
 
-impl BarrierAligner {
-    pub(crate) fn new(channels: usize) -> Self {
-        BarrierAligner {
-            channels,
-            received: HashMap::new(),
-            closed: vec![false; channels],
+impl Inputs {
+    /// The input side of a head whose channel `c` feeds port `ports[c]`.
+    fn new(ports: Vec<usize>, exactly_once: bool) -> Self {
+        let n = ports.len();
+        Inputs {
+            ports,
+            exactly_once,
+            watermarks: vec![i64::MIN; n],
+            watermark: i64::MIN,
+            closed: vec![false; n],
+            open: n,
+            blocked: vec![false; n],
+            pending: (0..n).map(|_| VecDeque::new()).collect(),
+            barriers: BTreeMap::new(),
+            released: VecDeque::new(),
         }
     }
 
-    fn is_complete(&self, id: u64) -> bool {
-        let Some(seen) = self.received.get(&id) else {
-            return false;
-        };
-        (0..self.channels).all(|c| seen[c] || self.closed[c])
-    }
-
-    /// Record a barrier; returns true when checkpoint `id` just completed.
-    pub(crate) fn barrier(&mut self, id: u64, channel: usize) -> bool {
-        let seen = self
-            .received
-            .entry(id)
-            .or_insert_with(|| vec![false; self.channels]);
-        seen[channel] = true;
-        let complete = self.is_complete(id);
-        if complete {
-            self.received.remove(&id);
-        }
-        complete
-    }
-
-    /// A channel reached EOS; returns ids (ascending) completed by it.
-    pub(crate) fn close(&mut self, channel: usize) -> Vec<u64> {
-        self.closed[channel] = true;
-        let mut done: Vec<u64> = self
-            .received
-            .keys()
-            .copied()
-            .filter(|&id| self.is_complete(id))
-            .collect();
-        done.sort_unstable();
-        for id in &done {
-            self.received.remove(id);
-        }
-        done
-    }
-}
-
-/// What [`next_envelope`] produced.
-pub(crate) enum Polled {
-    /// A processable envelope (possibly replayed from a pending buffer).
-    Frame(Envelope),
-    /// The received envelope was buffered (blocked channel); call again.
-    Buffered,
-    /// All input senders disconnected.
-    Lost,
-}
-
-/// Pull the next processable envelope: buffered envelopes of unblocked
-/// channels first, then whatever `recv` takes from the shared receiver
-/// (`Ok(None)` = disconnected) — [`EdgeBatcher::next_input`] for a worker
-/// with out-edges, a plain blocking receive for a sink. Frames — batches
-/// included — are buffered whole when their channel is blocked, which is
-/// what keeps exactly-once blocking correct at batch granularity.
-pub(crate) fn next_envelope(
-    blocked: &[bool],
-    pending: &mut [VecDeque<Envelope>],
-    recv: impl FnOnce() -> Result<Option<Envelope>>,
-) -> Result<Polled> {
-    for (c, queue) in pending.iter_mut().enumerate() {
-        if !blocked[c] {
-            if let Some(env) = queue.pop_front() {
-                return Ok(Polled::Frame(env));
+    /// The next event, or `None` once every channel has closed. Buffered
+    /// frames of unblocked channels go first, then what `recv` takes from
+    /// the shared receiver.
+    fn next(&mut self, mut recv: impl FnMut() -> Result<Envelope>) -> Result<Option<Event>> {
+        loop {
+            if let Some(event) = self.released.pop_front() {
+                return Ok(Some(event));
             }
+            if self.open == 0 {
+                return Ok(None);
+            }
+            let replay = (0..self.pending.len())
+                .filter(|&c| !self.blocked[c])
+                .find_map(|c| self.pending[c].pop_front());
+            let env = match replay {
+                Some(env) => env,
+                None => recv()?,
+            };
+            let c = env.channel;
+            if self.blocked[c] {
+                self.pending[c].push_back(env);
+                continue;
+            }
+            let (tuples, trace) = match env.msg {
+                Message::Data(t) => (vec![t], None),
+                Message::Batch(b) => (b.tuples, b.trace),
+                Message::Watermark(wm) => match self.observe(c, wm) {
+                    Some(w) => return Ok(Some(Event::Watermark(w))),
+                    None => continue,
+                },
+                Message::Barrier(id) => {
+                    let n = self.ports.len();
+                    self.barriers.entry(id).or_insert_with(|| vec![false; n])[c] = true;
+                    if self.aligned(id) {
+                        self.complete(id);
+                        return Ok(Some(Event::Checkpoint(id)));
+                    }
+                    self.blocked[c] = self.exactly_once;
+                    continue;
+                }
+                Message::Eos => {
+                    self.closed[c] = true;
+                    self.open -= 1;
+                    let done: Vec<u64> = self
+                        .barriers
+                        .keys()
+                        .copied()
+                        .filter(|&id| self.aligned(id))
+                        .collect();
+                    for id in done {
+                        self.complete(id);
+                        self.released.push_back(Event::Checkpoint(id));
+                    }
+                    if let Some(w) = self.observe(c, i64::MAX).filter(|_| self.open > 0) {
+                        self.released.push_back(Event::Released(w));
+                    }
+                    continue;
+                }
+            };
+            return Ok(Some(Event::Data(self.ports[c], tuples, trace)));
         }
     }
-    Ok(match recv()? {
-        Some(env) if blocked[env.channel] => {
-            pending[env.channel].push_back(env);
-            Polled::Buffered
-        }
-        Some(env) => Polled::Frame(env),
-        None => Polled::Lost,
-    })
+
+    /// Record watermark `wm` of channel `c`; the new minimum if it advanced.
+    fn observe(&mut self, c: usize, wm: i64) -> Option<i64> {
+        self.watermarks[c] = self.watermarks[c].max(wm);
+        let min = self.watermarks.iter().copied().min().unwrap_or(i64::MIN);
+        (min > self.watermark).then(|| {
+            self.watermark = min;
+            min
+        })
+    }
+
+    /// Whether every channel delivered barrier `id` or closed.
+    fn aligned(&self, id: u64) -> bool {
+        let seen = &self.barriers[&id];
+        seen.iter().zip(&self.closed).all(|(&s, &c)| s || c)
+    }
+
+    /// Checkpoint `id` is taken: forget it and unblock every channel.
+    fn complete(&mut self, id: u64) {
+        self.barriers.remove(&id);
+        self.blocked.fill(false);
+    }
 }
 
 /// Smallest source hand-off, in tuples. The hand-off holds one frame
@@ -381,6 +435,7 @@ pub(crate) fn spawn_instances(
         probe
     };
     let heads = plan.chain_heads();
+    let sinks = plan.logical.sinks();
 
     for inst in &plan.instances {
         if let Some(mine) = local {
@@ -397,7 +452,7 @@ pub(crate) fn spawn_instances(
         let node = &plan.logical.nodes[inst.node];
         let routes = plan.out_routes[*members.last().expect("a chain has a head")].clone();
         let downstream = transport.downstream_for(&routes)?;
-        let route_meta = routes;
+        let batcher = EdgeBatcher::new(routes, downstream, batch_size);
         let injector = injector.clone();
         let inst_id = inst.id;
         let lnode = inst.node;
@@ -425,8 +480,7 @@ pub(crate) fn spawn_instances(
                 let counter = Arc::clone(emitted_counters);
                 let start_offset = decode_position(restore_bytes.as_ref(), "source offset")?;
                 let worker = std::thread::spawn(move || -> Result<()> {
-                    let mut router = RouterState::new(route_meta.len());
-                    let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
+                    let mut batcher = batcher;
                     let mut max_et = i64::MIN;
                     let mut emitted = start_offset;
                     counter[inst_id].store(emitted, Ordering::SeqCst);
@@ -438,9 +492,7 @@ pub(crate) fn spawn_instances(
                         clock,
                         batch_size,
                     );
-                    while let Some(tuple) =
-                        batcher.next_input(&feed.rx, &route_meta, &downstream, &probe)?
-                    {
+                    while let Some(tuple) = batcher.next_input(&feed.rx, &probe)? {
                         if let Some(inj) = &injector {
                             inj.check(lnode, index, emitted - start_offset)?;
                         }
@@ -454,7 +506,7 @@ pub(crate) fn spawn_instances(
                             let ctx = probe.trace_source(tuple.emit_ns);
                             batcher.set_active_trace(ctx.map(|c| (c, tuple.emit_ns)));
                         }
-                        batcher.scatter(&route_meta, &downstream, &mut router, &probe, tuple)?;
+                        batcher.scatter(&probe, tuple)?;
                         if traced {
                             batcher.set_active_trace(None);
                         }
@@ -467,13 +519,8 @@ pub(crate) fn spawn_instances(
                             // Flushing before the barrier pins the barrier to
                             // a batch boundary: every tuple up to `emitted`
                             // precedes it on channel.
-                            batcher.flush_then_broadcast(
-                                &route_meta,
-                                &downstream,
-                                &probe,
-                                Message::Barrier(id),
-                                FlushReason::Marker,
-                            )?;
+                            let barrier = Message::Barrier(id);
+                            batcher.flush_then_broadcast(&probe, barrier, FlushReason::Marker)?;
                             if let Some(t0) = ck0 {
                                 probe.checkpoint(t0.elapsed().as_nanos() as u64);
                                 probe.event(
@@ -484,23 +531,12 @@ pub(crate) fn spawn_instances(
                         }
                         if emitted.is_multiple_of(wm_interval) {
                             let wm = max_et.saturating_sub(lateness);
-                            batcher.flush_then_broadcast(
-                                &route_meta,
-                                &downstream,
-                                &probe,
-                                Message::Watermark(wm),
-                                FlushReason::Marker,
-                            )?;
+                            let wm = Message::Watermark(wm);
+                            batcher.flush_then_broadcast(&probe, wm, FlushReason::Marker)?;
                         }
                     }
                     feed.finish();
-                    batcher.flush_then_broadcast(
-                        &route_meta,
-                        &downstream,
-                        &probe,
-                        Message::Eos,
-                        FlushReason::Eos,
-                    )?;
+                    batcher.flush_then_broadcast(&probe, Message::Eos, FlushReason::Eos)?;
                     let _ = stats_tx.send(InstanceStats {
                         node: lnode,
                         tuples_in: emitted,
@@ -511,392 +547,373 @@ pub(crate) fn spawn_instances(
                 });
                 handles.push((lnode, index, worker));
             }
-            OpKind::Sink => {
-                let rx = take_receiver(receivers, inst.id)?;
-                let channels = plan.input_channel_count[inst.id];
-                let stats_tx = reporters.stats_tx.clone();
-                let coord_tx = reporters.coord_tx.clone();
-                let capture_limit = settings.run.capture_limit as u64;
-                let name = node.name.clone();
-                // A sink's checkpoint state is its count, as a source's is its offset.
-                let restored = decode_position(restore_bytes.as_ref(), "sink count")?;
-                let worker = std::thread::spawn(move || -> Result<()> {
-                    let mut count = restored;
-                    // Deliveries since the last report.
-                    let mut delta = SinkState::default();
-                    let report = |delta: &mut SinkState| {
-                        let _ = coord_tx.send(Report::Delivered(inst_id, std::mem::take(delta)));
-                    };
-                    // The delta goes first, so the supervisor always holds
-                    // every delivery a part counts.
-                    let checkpoint = |id: u64, count: u64, delta: &mut SinkState| {
-                        report(delta);
-                        report_part(&probe, &coord_tx, inst_id, id, || {
-                            Ok(encode_position(count))
-                        })
-                    };
-                    let mut aligner = BarrierAligner::new(channels);
-                    let mut blocked = vec![false; channels];
-                    let mut pending: Vec<VecDeque<Envelope>> =
-                        (0..channels).map(|_| VecDeque::new()).collect();
-                    let mut closed = 0usize;
-                    let mut seen_this_attempt = 0u64;
-                    while closed < channels {
-                        let wait = probe.now_if();
-                        // Sinks send nothing downstream, so there is nothing
-                        // to flush before blocking.
-                        let recv = || Ok(rx.recv().ok());
-                        let env = match next_envelope(&blocked, &mut pending, recv)? {
-                            Polled::Frame(env) => env,
-                            Polled::Lost => {
-                                // Upstream died: hand what was delivered to
-                                // the supervisor before erroring.
-                                report(&mut delta);
-                                return Err(EngineError::Execution(format!(
-                                    "sink '{name}' lost its input channels"
-                                )));
-                            }
-                            Polled::Buffered => continue,
-                        };
-                        let work = probe.mark_idle(wait);
-                        if probe.enabled() {
-                            probe.queue_depth(rx.len());
-                        }
-                        // A frame's tuples all arrive at one instant, so
-                        // delivery time is stamped once per frame.
-                        let deliver =
-                            |t: Tuple, now: u64, count: &mut u64, delta: &mut SinkState| {
-                                let latency = now.saturating_sub(t.emit_ns);
-                                delta.latencies.push(latency);
-                                probe.latency_ns(latency);
-                                if *count < capture_limit {
-                                    delta.captured.push(t);
-                                }
-                                *count += 1;
-                            };
-                        match env.msg {
-                            Message::Data(t) => {
-                                if let Some(inj) = &injector {
-                                    if let Err(e) = inj.check(lnode, index, seen_this_attempt) {
-                                        report(&mut delta);
-                                        return Err(e);
-                                    }
-                                }
-                                seen_this_attempt += 1;
-                                let now = clock.now_ns();
-                                probe.tuples_in(1);
-                                deliver(t, now, &mut count, &mut delta);
-                            }
-                            Message::Batch(b) => {
-                                let now = clock.now_ns();
-                                probe.tuples_in(b.len() as u64);
-                                // Queue span: sender flush (or, distributed,
-                                // local re-stamp at the receiving acceptor) →
-                                // sink dequeue.
-                                let tctx = b.trace.map(|ft| {
-                                    probe.trace_span(ft.ctx, SpanKind::Queue, ft.sent_ns, now)
-                                });
-                                if let Some(c) = tctx {
-                                    probe.trace_active(Some(c));
-                                }
-                                for t in b.tuples {
-                                    if let Some(inj) = &injector {
-                                        if let Err(e) = inj.check(lnode, index, seen_this_attempt) {
-                                            report(&mut delta);
-                                            return Err(e);
-                                        }
-                                    }
-                                    seen_this_attempt += 1;
-                                    deliver(t, now, &mut count, &mut delta);
-                                }
-                                if let Some(ctx) = tctx {
-                                    probe.trace_span(ctx, SpanKind::Deliver, now, clock.now_ns());
-                                }
-                            }
-                            Message::Watermark(_) => {}
-                            Message::Barrier(id) => {
-                                if aligner.barrier(id, env.channel) {
-                                    checkpoint(id, count, &mut delta)?;
-                                    blocked.iter_mut().for_each(|b| *b = false);
-                                } else if exactly_once {
-                                    blocked[env.channel] = true;
-                                }
-                            }
-                            Message::Eos => {
-                                closed += 1;
-                                blocked[env.channel] = false;
-                                for id in aligner.close(env.channel) {
-                                    checkpoint(id, count, &mut delta)?;
-                                    blocked.iter_mut().for_each(|b| *b = false);
-                                }
-                            }
-                        }
-                        probe.mark_busy(work);
-                    }
-                    report(&mut delta);
-                    let _ = stats_tx.send(InstanceStats {
-                        node: lnode,
-                        tuples_in: count,
-                        ..InstanceStats::default()
-                    });
-                    Ok(())
-                });
-                handles.push((lnode, index, worker));
-            }
             _ => {
-                // The head's probe is `probe`; the other members get theirs.
-                let mut chain = Vec::with_capacity(members.len());
-                for (pos, &m) in members.iter().enumerate() {
+                // A sink runs no operator: its log takes what its channels
+                // deliver. Otherwise the head's probe is `probe` and the
+                // other members get theirs.
+                let sink = sinks.contains(&inst.node);
+                let mut chain = Vec::new();
+                for (pos, &m) in members.iter().enumerate().filter(|_| !sink) {
                     let pi = &plan.instances[m];
                     let member_probe = if pos == 0 {
                         probe.clone()
                     } else {
                         probe_for(pi)
                     };
-                    // A tail member's port is its link's; the head's
-                    // ports are its channels'.
+                    // A tail member's port is its link's; the head's ports
+                    // are its channels'.
                     let port = members[..pos]
                         .last()
                         .and_then(|&prev| plan.chain_next[prev])
                         .map_or(0, |link| link.port);
-                    chain.push(Member::new(
-                        plan,
-                        pi,
-                        port,
-                        member_probe,
-                        settings,
-                        restore.get(&m).map(Vec::as_slice),
-                    )?);
+                    let state = restore.get(&m).map(Vec::as_slice);
+                    chain.push(Member::new(plan, pi, port, member_probe, settings, state)?);
                 }
-                let rx = take_receiver(receivers, inst.id)?;
-                let channels = plan.input_channel_count[inst.id];
-                let ports = plan.channel_ports[inst.id].clone();
-                let name = node.name.clone();
-                let stats_tx = reporters.stats_tx.clone();
-                let coord_tx = reporters.coord_tx.clone();
-                let overload = settings.run.overload.clone();
-                let gauge = overload
-                    .enabled
-                    .then(|| PressureGauge::new(&overload, settings.run.frame_capacity()));
-                let mut shedder =
-                    Shedder::new(overload.shed_policy.clone(), overload.seed, inst.id as u64);
-                let worker = std::thread::spawn(move || -> Result<()> {
-                    let injector = injector.as_ref();
-                    let mut router = RouterState::new(route_meta.len());
-                    let mut batcher = EdgeBatcher::new(&route_meta, batch_size);
-                    let mut tracker = WatermarkTracker::new(channels);
-                    let mut aligner = BarrierAligner::new(channels);
-                    let mut blocked = vec![false; channels];
-                    let mut pending: Vec<VecDeque<Envelope>> =
-                        (0..channels).map(|_| VecDeque::new()).collect();
-                    let mut closed = 0usize;
-                    let mut shed_fraction = 0.0f64;
-                    // Scatter the last member's outputs downstream (its
-                    // buffer keeps its capacity), continuing `ctx` when the
-                    // batch they came from was traced.
-                    let mut emit = |batcher: &mut EdgeBatcher,
-                                    chain: &mut [Member],
-                                    ctx: Option<TraceContext>|
-                     -> Result<()> {
-                        let out = &mut chain.last_mut().expect("a chain has a head").out;
-                        batcher.set_active_trace(ctx.map(|c| (c, probe.trace_now())));
-                        for t in out.drain(..) {
-                            batcher.scatter(&route_meta, &downstream, &mut router, &probe, t)?;
-                        }
-                        batcher.set_active_trace(None);
-                        Ok(())
-                    };
-                    while closed < channels {
-                        let wait = probe.now_if();
-                        let recv = || batcher.next_input(&rx, &route_meta, &downstream, &probe);
-                        let env = match next_envelope(&blocked, &mut pending, recv)? {
-                            Polled::Frame(env) => env,
-                            Polled::Lost => {
-                                return Err(EngineError::Execution(format!(
-                                    "operator '{name}' lost its input channels"
-                                )));
-                            }
-                            Polled::Buffered => continue,
-                        };
-                        let work = probe.mark_idle(wait);
-                        for m in &chain[1..] {
-                            m.probe.mark_idle(wait);
-                        }
-                        // The queue depth takes the channel lock: read it
-                        // only for the probe or the overload gauge.
-                        let depth = if probe.enabled() || gauge.is_some() {
-                            rx.len()
-                        } else {
-                            0
-                        };
-                        if probe.enabled() {
-                            probe.queue_depth(depth);
-                        }
-                        if let Some(g) = &gauge {
-                            // Escalation ladder: rung from the bounded input
-                            // queue's occupancy.
-                            let level = g.level(depth);
-                            probe.pressure(level as u64);
-                            match level {
-                                PressureLevel::Normal => {
-                                    batcher.set_max(batch_size);
-                                    shed_fraction = 0.0;
-                                }
-                                PressureLevel::Batch => {
-                                    batcher.set_max(batch_size * overload.batch_growth);
-                                    shed_fraction = 0.0;
-                                }
-                                PressureLevel::Shed => {
-                                    batcher.set_max(batch_size * overload.batch_growth);
-                                    shed_fraction = g.shed_fraction(depth);
-                                }
-                            }
-                        }
-                        // Time the tail members spent, which is theirs and
-                        // not the head's.
-                        let mut tail_busy = Duration::ZERO;
-                        let shed = (shed_fraction > 0.0).then_some((&mut shedder, shed_fraction));
-                        match env.msg {
-                            Message::Data(t) => {
-                                let port = ports[env.channel];
-                                let ctx =
-                                    chain[0].step(port, vec![t], None, None, injector, shed)?;
-                                let ctx = cascade(&mut chain, ctx, None, injector, &mut tail_busy)?;
-                                emit(&mut batcher, &mut chain, ctx)?;
-                            }
-                            Message::Batch(b) => {
-                                let port = ports[env.channel];
-                                // Queue span: sender flush → dequeue here.
-                                let ctx = b.trace.map(|ft| {
-                                    let t_deq = clock.now_ns();
-                                    probe.trace_span(ft.ctx, SpanKind::Queue, ft.sent_ns, t_deq)
-                                });
-                                let ctx =
-                                    chain[0].step(port, b.tuples, ctx, None, injector, shed)?;
-                                let ctx = cascade(&mut chain, ctx, None, injector, &mut tail_busy)?;
-                                emit(&mut batcher, &mut chain, ctx)?;
-                            }
-                            Message::Watermark(wm) => {
-                                if let Some(w) = tracker.observe(env.channel, wm) {
-                                    let signal = Some(Signal::Watermark(w));
-                                    let ctx = chain[0].step(
-                                        0,
-                                        Vec::new(),
-                                        None,
-                                        signal,
-                                        injector,
-                                        None,
-                                    )?;
-                                    let ctx =
-                                        cascade(&mut chain, ctx, signal, injector, &mut tail_busy)?;
-                                    emit(&mut batcher, &mut chain, ctx)?;
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
-                                        &probe,
-                                        Message::Watermark(w),
-                                        FlushReason::Marker,
-                                    )?;
-                                }
-                            }
-                            Message::Barrier(id) => {
-                                if aligner.barrier(id, env.channel) {
-                                    for m in &chain {
-                                        m.report_part(&coord_tx, id)?;
-                                    }
-                                    // Flush-then-forward keeps the barrier at
-                                    // a batch boundary: all pre-checkpoint
-                                    // tuples reach every downstream channel
-                                    // before the barrier does.
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
-                                        &probe,
-                                        Message::Barrier(id),
-                                        FlushReason::Marker,
-                                    )?;
-                                    blocked.iter_mut().for_each(|b| *b = false);
-                                } else if exactly_once {
-                                    blocked[env.channel] = true;
-                                }
-                            }
-                            Message::Eos => {
-                                closed += 1;
-                                blocked[env.channel] = false;
-                                for id in aligner.close(env.channel) {
-                                    for m in &chain {
-                                        m.report_part(&coord_tx, id)?;
-                                    }
-                                    batcher.flush_then_broadcast(
-                                        &route_meta,
-                                        &downstream,
-                                        &probe,
-                                        Message::Barrier(id),
-                                        FlushReason::Marker,
-                                    )?;
-                                    blocked.iter_mut().for_each(|b| *b = false);
-                                }
-                                if let Some(w) = tracker.close_channel(env.channel) {
-                                    if closed < channels {
-                                        // The head fires without forwarding
-                                        // the watermark, so the members after
-                                        // it take the results as data only.
-                                        let ctx = chain[0].step(
-                                            0,
-                                            Vec::new(),
-                                            None,
-                                            Some(Signal::Watermark(w)),
-                                            injector,
-                                            None,
-                                        )?;
-                                        let ctx = cascade(
-                                            &mut chain,
-                                            ctx,
-                                            None,
-                                            injector,
-                                            &mut tail_busy,
-                                        )?;
-                                        emit(&mut batcher, &mut chain, ctx)?;
-                                    }
-                                }
-                            }
-                        }
-                        for m in &chain {
-                            m.window_state();
-                        }
-                        probe.mark_busy(work.map(|t0| t0 + tail_busy));
-                    }
-                    let signal = Some(Signal::Flush);
-                    let mut tail_busy = Duration::ZERO;
-                    let ctx = chain[0].step(0, Vec::new(), None, signal, injector, None)?;
-                    let ctx = cascade(&mut chain, ctx, signal, injector, &mut tail_busy)?;
-                    for m in &chain {
-                        m.window_state();
-                    }
-                    emit(&mut batcher, &mut chain, ctx)?;
-                    batcher.flush_then_broadcast(
-                        &route_meta,
-                        &downstream,
-                        &probe,
-                        Message::Eos,
-                        FlushReason::Eos,
-                    )?;
-                    if gauge.is_some() {
-                        // The queue is drained: report the gauge at rest so
-                        // post-run alarm evaluation sees recovery, not the
-                        // last mid-storm level.
-                        probe.pressure(PressureLevel::Normal as u64);
-                    }
-                    for m in &chain {
-                        let _ = stats_tx.send(m.stats());
-                    }
-                    Ok(())
-                });
-                handles.push((lnode, index, worker));
+                let output = if sink {
+                    // A sink's checkpoint state is its count, as a source's
+                    // is its offset.
+                    let restored = decode_position(restore_bytes.as_ref(), "sink count")?;
+                    Output::Log(Delivery {
+                        inst: *inst,
+                        clock,
+                        capture_limit: settings.run.capture_limit as u64,
+                        restored,
+                        count: restored,
+                        delta: SinkState::default(),
+                    })
+                } else {
+                    Output::Routes(batcher)
+                };
+                let what = if sink { "sink" } else { "operator" };
+                let overload = &settings.run.overload;
+                let worker = ChainWorker {
+                    lost: format!("{what} '{}' lost its input channels", node.name),
+                    inputs: Inputs::new(plan.channel_ports[inst.id].clone(), exactly_once),
+                    rx: receivers
+                        .get_mut(inst.id)
+                        .and_then(Option::take)
+                        .ok_or_else(|| {
+                            EngineError::Execution(format!(
+                                "internal routing error: no receiver for instance {inst_id}"
+                            ))
+                        })?,
+                    gauge: (overload.enabled && !sink)
+                        .then(|| PressureGauge::new(overload, settings.run.frame_capacity())),
+                    shedder: Shedder::new(
+                        overload.shed_policy.clone(),
+                        overload.seed,
+                        inst_id as u64,
+                    ),
+                    shed_fraction: 0.0,
+                    batch_size,
+                    batch_growth: overload.batch_growth,
+                    members: chain,
+                    output,
+                    probe,
+                    injector,
+                    reporters: reporters.clone(),
+                };
+                handles.push((lnode, index, std::thread::spawn(move || worker.run())));
             }
         }
     }
     Ok(handles)
+}
+
+/// Where a chain's last member sends its outputs.
+enum Output {
+    /// Downstream, through the chain's edge batcher.
+    Routes(EdgeBatcher),
+    /// Into a sink's delivery log.
+    Log(Delivery),
+}
+
+impl Output {
+    /// Send `out` on, continuing `ctx` when the batch it came from was
+    /// traced; `out` keeps its capacity.
+    fn emit(
+        &mut self,
+        out: &mut Vec<Tuple>,
+        ctx: Option<TraceContext>,
+        probe: &Probe,
+        injector: Option<&FaultInjector>,
+    ) -> Result<()> {
+        match self {
+            Output::Routes(batcher) => {
+                batcher.set_active_trace(ctx.map(|c| (c, probe.trace_now())));
+                for t in out.drain(..) {
+                    batcher.scatter(probe, t)?;
+                }
+                batcher.set_active_trace(None);
+                Ok(())
+            }
+            Output::Log(log) => log.deliver(out, ctx, probe, injector),
+        }
+    }
+
+    /// Flush, then send `msg` on every route; a sink forwards nothing.
+    fn broadcast(&mut self, msg: Message, reason: FlushReason, probe: &Probe) -> Result<()> {
+        match self {
+            // Flush-then-forward keeps a marker at a batch boundary: every
+            // tuple before it reaches every downstream channel first.
+            Output::Routes(batcher) => batcher.flush_then_broadcast(probe, msg, reason),
+            Output::Log(_) => Ok(()),
+        }
+    }
+
+    /// Finish checkpoint `id` after the members reported their parts: pass
+    /// the barrier on, or report the sink's count.
+    fn checkpoint(&mut self, id: u64, probe: &Probe, coord_tx: &Sender<Report>) -> Result<()> {
+        match self {
+            Output::Routes(_) => self.broadcast(Message::Barrier(id), FlushReason::Marker, probe),
+            Output::Log(log) => {
+                // The delta goes first, so the supervisor always holds
+                // every delivery a part counts.
+                log.report(coord_tx);
+                report_part(probe, coord_tx, log.inst.id, id, || {
+                    Ok(encode_position(log.count))
+                })
+            }
+        }
+    }
+}
+
+/// A sink's delivery log: what it delivered since its last report, and its
+/// count, restored from its checkpoint part.
+struct Delivery {
+    inst: PhysicalInstance,
+    clock: RunClock,
+    capture_limit: u64,
+    /// The count this attempt started from.
+    restored: u64,
+    count: u64,
+    delta: SinkState,
+}
+
+impl Delivery {
+    /// Deliver `frame`'s tuples (it keeps its capacity), continuing `ctx`.
+    /// A traced frame gets a `Deliver` span.
+    fn deliver(
+        &mut self,
+        frame: &mut Vec<Tuple>,
+        ctx: Option<TraceContext>,
+        probe: &Probe,
+        injector: Option<&FaultInjector>,
+    ) -> Result<()> {
+        if frame.is_empty() {
+            return Ok(());
+        }
+        // A frame's tuples all arrive at one instant, so delivery time is
+        // stamped once per frame.
+        let now = self.clock.now_ns();
+        probe.tuples_in(frame.len() as u64);
+        if ctx.is_some() {
+            probe.trace_active(ctx);
+        }
+        for t in frame.drain(..) {
+            if let Some(inj) = injector {
+                inj.check(self.inst.node, self.inst.index, self.count - self.restored)?;
+            }
+            let latency = now.saturating_sub(t.emit_ns);
+            self.delta.latencies.push(latency);
+            probe.latency_ns(latency);
+            if self.count < self.capture_limit {
+                self.delta.captured.push(t);
+            }
+            self.count += 1;
+        }
+        if let Some(c) = ctx {
+            probe.trace_span(c, SpanKind::Deliver, now, self.clock.now_ns());
+        }
+        Ok(())
+    }
+
+    /// Hand the deliveries since the last report to the supervisor.
+    fn report(&mut self, coord_tx: &Sender<Report>) {
+        let delta = std::mem::take(&mut self.delta);
+        let _ = coord_tx.send(Report::Delivered(self.inst.id, delta));
+    }
+}
+
+/// The worker of one chain: its input side, its operator members in the
+/// order they process a batch (none for a sink) and its output.
+struct ChainWorker {
+    /// The error a lost input channel raises.
+    lost: String,
+    inputs: Inputs,
+    rx: Receiver<Envelope>,
+    members: Vec<Member>,
+    output: Output,
+    /// The head's probe.
+    probe: Probe,
+    /// The overload ladder over the input queue; a sink has none.
+    gauge: Option<PressureGauge>,
+    shedder: Shedder,
+    /// The share of the head's input the gauge last asked to shed.
+    shed_fraction: f64,
+    batch_size: usize,
+    batch_growth: usize,
+    injector: Option<FaultInjector>,
+    reporters: Reporters,
+}
+
+impl ChainWorker {
+    /// Run the chain to the end of its input, then report its counters. A
+    /// sink reports its deliveries whatever the outcome, so the supervisor
+    /// holds them even when the attempt fails.
+    fn run(mut self) -> Result<()> {
+        let outcome = self.drain();
+        if let Output::Log(log) = &mut self.output {
+            log.report(&self.reporters.coord_tx);
+        }
+        outcome?;
+        for m in &self.members {
+            let _ = self.reporters.stats_tx.send(m.stats());
+        }
+        if let Output::Log(log) = &self.output {
+            let _ = self.reporters.stats_tx.send(InstanceStats {
+                node: log.inst.node,
+                tuples_in: log.count,
+                ..InstanceStats::default()
+            });
+        }
+        Ok(())
+    }
+
+    /// Take events until every channel closed, then flush the chain and
+    /// send end of stream on.
+    fn drain(&mut self) -> Result<()> {
+        loop {
+            let wait = self.probe.now_if();
+            let (output, rx, probe, lost) = (&mut self.output, &self.rx, &self.probe, &self.lost);
+            let event = self.inputs.next(|| {
+                let env = match output {
+                    Output::Routes(batcher) => batcher.next_input(rx, probe)?,
+                    // A sink has nothing to flush before it blocks.
+                    Output::Log(_) => rx.recv().ok(),
+                };
+                env.ok_or_else(|| EngineError::Execution(lost.clone()))
+            })?;
+            let Some(event) = event else { break };
+            let work = self.probe.mark_idle(wait);
+            for m in self.members.iter().skip(1) {
+                m.probe.mark_idle(wait);
+            }
+            // The queue depth takes the channel lock: read it only for the
+            // probe or the overload gauge.
+            let depth = if self.probe.enabled() || self.gauge.is_some() {
+                self.rx.len()
+            } else {
+                0
+            };
+            if self.probe.enabled() {
+                self.probe.queue_depth(depth);
+            }
+            if let (Some(g), Output::Routes(batcher)) = (&self.gauge, &mut self.output) {
+                // Escalation ladder: rung from the bounded input queue's
+                // occupancy: batches grow above the normal rung, and the
+                // shed rung sheds (the fraction is 0 below it).
+                let level = g.level(depth);
+                self.probe.pressure(level as u64);
+                let normal = level == PressureLevel::Normal;
+                let growth = if normal { 1 } else { self.batch_growth };
+                batcher.set_max(self.batch_size * growth);
+                self.shed_fraction = g.shed_fraction(depth);
+            }
+            let tail_busy = match event {
+                Event::Data(port, tuples, trace) => {
+                    // Queue span: sender flush (or, distributed, local
+                    // re-stamp at the receiving acceptor) → dequeue here.
+                    let ctx = trace.map(|ft| {
+                        let t_deq = self.probe.trace_now();
+                        self.probe
+                            .trace_span(ft.ctx, SpanKind::Queue, ft.sent_ns, t_deq)
+                    });
+                    self.take(port, tuples, ctx, None, None)?
+                }
+                Event::Watermark(w) => {
+                    let signal = Some(Signal::Watermark(w));
+                    let tail_busy = self.take(0, Vec::new(), None, signal, signal)?;
+                    let wm = Message::Watermark(w);
+                    self.output
+                        .broadcast(wm, FlushReason::Marker, &self.probe)?;
+                    tail_busy
+                }
+                // The head fires without forwarding the watermark, so the
+                // members after it take the results as data only.
+                Event::Released(w) => {
+                    self.take(0, Vec::new(), None, Some(Signal::Watermark(w)), None)?
+                }
+                Event::Checkpoint(id) => {
+                    for m in &self.members {
+                        m.report_part(&self.reporters.coord_tx, id)?;
+                    }
+                    let coord_tx = &self.reporters.coord_tx;
+                    self.output.checkpoint(id, &self.probe, coord_tx)?;
+                    Duration::ZERO
+                }
+            };
+            for m in &self.members {
+                m.window_state();
+            }
+            self.probe.mark_busy(work.map(|t0| t0 + tail_busy));
+        }
+        let signal = Some(Signal::Flush);
+        self.take(0, Vec::new(), None, signal, signal)?;
+        for m in &self.members {
+            m.window_state();
+        }
+        self.output
+            .broadcast(Message::Eos, FlushReason::Eos, &self.probe)?;
+        if self.gauge.is_some() {
+            // The queue is drained: report the gauge at rest so post-run
+            // alarm evaluation sees recovery, not the last mid-storm level.
+            self.probe.pressure(PressureLevel::Normal as u64);
+        }
+        Ok(())
+    }
+
+    /// Run one input through the chain and emit what comes out: the head
+    /// takes `input` on `port` and fires `head`, each later member takes its
+    /// predecessor's whole output and fires `tail`, and the last member's
+    /// outputs go to the output. Returns the time the later members spent,
+    /// which is theirs and not the head's. A sink has no members, so `input`
+    /// itself is delivered.
+    fn take(
+        &mut self,
+        port: usize,
+        mut input: Vec<Tuple>,
+        ctx: Option<TraceContext>,
+        head: Option<Signal>,
+        tail: Option<Signal>,
+    ) -> Result<Duration> {
+        let injector = self.injector.as_ref();
+        let mut tail_busy = Duration::ZERO;
+        let Some((first, rest)) = self.members.split_first_mut() else {
+            self.output.emit(&mut input, ctx, &self.probe, injector)?;
+            return Ok(tail_busy);
+        };
+        let shed = (self.shed_fraction > 0.0).then_some((&mut self.shedder, self.shed_fraction));
+        let mut ctx = first.step(port, input, ctx, head, injector, shed)?;
+        let mut prev = &mut first.out;
+        for m in rest {
+            if prev.is_empty() && tail.is_none() {
+                return Ok(tail_busy);
+            }
+            // The buffer left behind is sized for a batch like this one.
+            let input = std::mem::replace(prev, Vec::with_capacity(prev.len()));
+            let t0 = m.probe.now_if();
+            let taken = ctx.or(m.carry.take());
+            ctx = m.step(m.port, input, taken, tail, injector, None)?;
+            if ctx.is_none() {
+                m.carry = taken;
+            }
+            tail_busy += m.probe.mark_busy(t0);
+            prev = &mut m.out;
+        }
+        self.output.emit(prev, ctx, &self.probe, injector)?;
+        Ok(tail_busy)
+    }
 }
 
 /// What a chain member fires after taking its input.
@@ -1090,37 +1107,6 @@ impl Member {
     }
 }
 
-/// Pass the head's outputs, continuing `ctx`, through the other members
-/// of `chain`, each taking the whole batch and then firing `signal` before
-/// the next; returns the context the last member's outputs continue. Their
-/// time is added to `tail_busy`.
-fn cascade(
-    chain: &mut [Member],
-    mut ctx: Option<TraceContext>,
-    signal: Option<Signal>,
-    injector: Option<&FaultInjector>,
-    tail_busy: &mut Duration,
-) -> Result<Option<TraceContext>> {
-    for j in 1..chain.len() {
-        let (before, after) = chain.split_at_mut(j);
-        let prev = &mut before[j - 1].out;
-        if prev.is_empty() && signal.is_none() {
-            return Ok(None);
-        }
-        // The buffer left behind is sized for a batch like this one.
-        let input = std::mem::replace(prev, Vec::with_capacity(prev.len()));
-        let m = &mut after[0];
-        let t0 = m.probe.now_if();
-        let taken = ctx.or(m.carry.take());
-        ctx = m.step(m.port, input, taken, signal, injector, None)?;
-        if ctx.is_none() {
-            m.carry = taken;
-        }
-        *tail_busy += m.probe.mark_busy(t0);
-    }
-    Ok(ctx)
-}
-
 /// Report instance `inst`'s part of checkpoint `id`, encoded by `snapshot`
 /// (the probe's event names the node and instance), timed on `probe`.
 fn report_part(
@@ -1142,6 +1128,30 @@ fn report_part(
     Ok(())
 }
 
+/// One optional entry per instance id.
+pub(crate) type Slots<T> = Vec<Option<T>>;
+
+/// The input channels of the instances that receive on one (not sources,
+/// not chain tail members), only those in `local` when it is given: bounded
+/// to `frame_capacity` frames, senders and receivers indexed by instance id.
+pub(crate) fn input_channels(
+    plan: &PhysicalPlan,
+    local: Option<&HashSet<usize>>,
+    frame_capacity: usize,
+) -> (Slots<Sender<Envelope>>, Slots<Receiver<Envelope>>) {
+    (0..plan.instance_count())
+        .map(|i| {
+            let hosted = local.is_none_or(|mine| mine.contains(&i));
+            if hosted && plan.input_channel_count[i] > 0 {
+                let (tx, rx) = bounded(frame_capacity);
+                (Some(tx), Some(rx))
+            } else {
+                (None, None)
+            }
+        })
+        .unzip()
+}
+
 /// Everything one attempt reported back to its supervisor.
 pub(crate) struct Attempt {
     /// `Err` holds the root cause of a failed attempt.
@@ -1159,7 +1169,7 @@ pub(crate) struct Attempt {
 }
 
 /// Run one attempt of the whole plan in this process: every instance over a
-/// [`LocalTransport`], joined before the reports are drained. `Err` is a
+/// [`SenderTable`], joined before the reports are drained. `Err` is a
 /// non-retryable setup failure; a worker failure is [`Attempt::outcome`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_local_attempt(
@@ -1177,13 +1187,11 @@ pub(crate) fn run_local_attempt(
             .map(|_| AtomicU64::new(0))
             .collect(),
     );
-    let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..plan.instance_count())
-        .map(|_| {
-            let (tx, rx) = bounded::<Envelope>(settings.run.frame_capacity());
-            (tx, Some(rx))
-        })
-        .unzip();
-    let transport = LocalTransport::new(senders);
+    let (senders, mut receivers) = input_channels(plan, None, settings.run.frame_capacity());
+    let transport = SenderTable {
+        senders,
+        kind: "local",
+    };
     let (reporters, reports) = Reporters::unbounded();
     let handles = spawn_instances(
         plan,
@@ -1337,54 +1345,139 @@ fn panic_cause(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".into())
 }
 
-/// Take an instance's receiver out of the shared table exactly once.
-fn take_receiver(
-    receivers: &mut [Option<Receiver<Envelope>>],
-    id: usize,
-) -> Result<Receiver<Envelope>> {
-    receivers.get_mut(id).and_then(Option::take).ok_or_else(|| {
-        EngineError::Execution(format!(
-            "internal routing error: receiver for instance {id} missing or already taken"
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn aligner_completes_when_all_channels_deliver() {
-        let mut a = BarrierAligner::new(3);
-        assert!(!a.barrier(1, 0));
-        assert!(!a.barrier(1, 1));
-        assert!(a.barrier(1, 2));
+    use crate::message::Batch;
+    use crate::value::Value;
+    use Event::{Checkpoint, Released};
+    use Message::{Barrier, Eos, Watermark};
+
+    /// What [`Inputs`] over `channels` channels, channel c on port c, hands
+    /// out for `script`'s `(channel, message)` pairs, until the script runs
+    /// dry or every channel has closed.
+    fn events(channels: usize, exactly_once: bool, script: Vec<(usize, Message)>) -> Vec<Event> {
+        let mut inputs = Inputs::new((0..channels).collect(), exactly_once);
+        let mut script = script.into_iter();
+        let mut recv = || match script.next() {
+            Some((channel, msg)) => Ok(Envelope { channel, msg }),
+            None => Err(EngineError::Execution("script ran dry".into())),
+        };
+        let mut out = Vec::new();
+        while let Ok(Some(event)) = inputs.next(&mut recv) {
+            out.push(event);
+        }
+        out
+    }
+
+    fn row(v: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(v)])
+    }
+
+    /// A frame of `values` on `channel`, and the event it becomes.
+    fn frame(channel: usize, values: &[i64]) -> (usize, Message) {
+        let batch = Batch::new(values.iter().map(|&v| row(v)).collect());
+        (channel, Message::Batch(batch))
+    }
+
+    fn data(channel: usize, values: &[i64]) -> Event {
+        Event::Data(channel, values.iter().map(|&v| row(v)).collect(), None)
     }
 
     #[test]
-    fn aligner_counts_closed_channels_as_delivered() {
-        let mut a = BarrierAligner::new(2);
-        assert!(a.close(1).is_empty());
-        assert!(a.barrier(1, 0), "closed channel no longer constrains");
-    }
-
-    #[test]
-    fn aligner_close_completes_outstanding_ids_in_order() {
-        let mut a = BarrierAligner::new(2);
-        assert!(!a.barrier(2, 0));
-        assert!(!a.barrier(1, 0));
-        assert_eq!(a.close(1), vec![1, 2]);
-    }
-
-    #[test]
-    fn aligner_tracks_multiple_outstanding_ids() {
+    fn barriers_align_once_every_open_channel_delivered() {
+        let script = vec![
+            (0, Barrier(1)),
+            (1, Barrier(1)),
+            frame(2, &[1]),
+            (2, Barrier(1)),
+        ];
+        assert_eq!(events(3, false, script), [data(2, &[1]), Checkpoint(1)]);
+        // A closed channel counts as having delivered.
+        assert_eq!(
+            events(2, false, vec![(1, Eos), (0, Barrier(1))]),
+            [Checkpoint(1)]
+        );
+        // A close completes every outstanding id, in order.
+        let script = vec![(0, Barrier(2)), (0, Barrier(1)), (1, Eos)];
+        assert_eq!(events(2, false, script), [Checkpoint(1), Checkpoint(2)]);
         // At-least-once: a fast channel delivers barrier 2 before the slow
-        // one delivers barrier 1.
-        let mut a = BarrierAligner::new(2);
-        assert!(!a.barrier(1, 0));
-        assert!(!a.barrier(2, 0));
-        assert!(a.barrier(1, 1));
-        assert!(a.barrier(2, 1));
+        // one delivers barrier 1, and nothing blocks it meanwhile.
+        let script = vec![
+            (0, Barrier(1)),
+            (0, Barrier(2)),
+            frame(0, &[7]),
+            (1, Barrier(1)),
+            (1, Barrier(2)),
+        ];
+        let expected = [data(0, &[7]), Checkpoint(1), Checkpoint(2)];
+        assert_eq!(events(2, false, script), expected);
+    }
+
+    #[test]
+    fn exactly_once_replays_a_blocked_channel_whole_and_in_order() {
+        // Channel 0 delivers barrier 1 first; what it sends until channel 1
+        // delivers the barrier waits, frames whole and markers in place.
+        let script = vec![
+            (0, Barrier(1)),
+            frame(0, &[1, 2]),
+            (0, Watermark(5)),
+            (0, Message::Data(row(3))),
+            (1, Watermark(7)),
+            frame(1, &[9]),
+            (1, Barrier(1)),
+        ];
+        let expected = [
+            data(1, &[9]),
+            Checkpoint(1),
+            data(0, &[1, 2]),
+            Event::Watermark(5),
+            data(0, &[3]),
+        ];
+        assert_eq!(events(2, true, script), expected);
+    }
+
+    #[test]
+    fn end_of_stream_completes_a_barrier_another_channel_delivered() {
+        let script = vec![(0, Barrier(1)), frame(0, &[1]), frame(1, &[2]), (1, Eos)];
+        let expected = [data(1, &[2]), Checkpoint(1), data(0, &[1])];
+        assert_eq!(events(2, true, script), expected);
+    }
+
+    #[test]
+    fn the_watermark_is_the_channel_minimum_and_never_regresses() {
+        let script = vec![
+            (0, Watermark(100)),
+            (1, Watermark(50)),
+            (0, Watermark(200)),
+            (1, Watermark(150)),
+        ];
+        let expected = [Event::Watermark(50), Event::Watermark(150)];
+        assert_eq!(events(2, false, script), expected);
+        let script = vec![
+            (0, Watermark(100)),
+            (0, Watermark(90)),
+            (0, Watermark(100)),
+            (0, Watermark(101)),
+        ];
+        let expected = [Event::Watermark(100), Event::Watermark(101)];
+        assert_eq!(events(1, false, script), expected);
+    }
+
+    #[test]
+    fn closing_releases_the_watermark_until_the_last_channel_closes() {
+        // The last close releases nothing and ends the input: the frame
+        // after it is never taken.
+        let script = vec![
+            (0, Watermark(500)),
+            (1, Watermark(600)),
+            (2, Eos),
+            (0, Eos),
+            (1, Eos),
+            frame(0, &[1]),
+        ];
+        assert_eq!(events(3, false, script), [Released(500), Released(600)]);
     }
 
     #[test]
@@ -1402,56 +1495,68 @@ mod tests {
     }
 
     /// A sink's checkpoint part is its delivered count, reported after the
-    /// deliveries it counts, so checkpoint bytes do not grow with output.
+    /// deliveries it counts, so checkpoint bytes do not grow with output. At
+    /// p = 2 the sink has two channels and aligns barriers exactly-once.
     #[test]
     fn sink_parts_are_counts_that_do_not_grow_with_output() {
         use crate::{builder::PlanBuilder, runtime::VecSource, value::*};
-        let logical = PlanBuilder::new()
-            .source("src", Schema::of(&[FieldType::Int]), 1)
-            .sink("sink")
-            .build()
+        for p in [1, 2] {
+            let logical = PlanBuilder::new()
+                .source("src", Schema::of(&[FieldType::Int]), p)
+                .sink("sink")
+                .build()
+                .unwrap();
+            let plan = PhysicalPlan::expand(&logical).unwrap();
+            let sink = plan.sink_instances()[0];
+            // Rows 1 024..5 120 with a barrier every 64 tuples per source:
+            // the sources resume at 1 024 together and the sink at 1 024,
+            // so every count the sink reports has four digits and the part
+            // sizes compare like for like.
+            let rows = (0..5_120)
+                .map(|i| Tuple::new(vec![Value::Int(i)]))
+                .collect();
+            let mut restore: HashMap<usize, Vec<u8>> = plan
+                .source_instances()
+                .into_iter()
+                .map(|src| (src, encode_position(1_024 / p as u64)))
+                .collect();
+            restore.insert(sink, encode_position(1_024));
+            let settings = ExecSettings {
+                run: RunConfig::default(),
+                exactly_once: true,
+                ckpt_interval: 64,
+            };
+            let attempt = run_local_attempt(
+                &plan,
+                &[VecSource::new(rows)],
+                &settings,
+                None,
+                &restore,
+                Instant::now(),
+                None,
+                true,
+            )
             .unwrap();
-        let plan = PhysicalPlan::expand(&logical).unwrap();
-        let (src, sink) = (plan.source_instances()[0], plan.sink_instances()[0]);
-        // Rows 1 024..5 120 with a barrier every 64: source and sink resume
-        // at 1 024, so every count the sink reports has four digits and the
-        // part sizes compare like for like.
-        let rows = (0..5_120)
-            .map(|i| Tuple::new(vec![Value::Int(i)]))
-            .collect();
-        let start = encode_position(1_024);
-        let restore = HashMap::from([(src, start.clone()), (sink, start)]);
-        let settings = ExecSettings {
-            run: RunConfig::default(),
-            exactly_once: true,
-            ckpt_interval: 64,
-        };
-        let attempt = run_local_attempt(
-            &plan,
-            &[VecSource::new(rows)],
-            &settings,
-            None,
-            &restore,
-            Instant::now(),
-            None,
-            true,
-        )
-        .unwrap();
-        attempt.outcome.unwrap();
-        let (mut delivered, mut parts) = (1_024, Vec::new());
-        for report in attempt.reports {
-            match report {
-                Report::Delivered(_, delta) => delivered += delta.delivered(),
-                Report::Part(id, inst, bytes) if inst == sink => {
-                    let count = decode_position(Some(&bytes), "sink count").unwrap();
-                    assert_eq!(count, id * 64, "part {id} counts its barrier");
-                    assert_eq!(count, delivered, "part {id} follows its deliveries");
-                    parts.push(bytes);
+            attempt.outcome.unwrap();
+            let (mut delivered, mut parts) = (1_024, Vec::new());
+            for report in attempt.reports {
+                match report {
+                    Report::Delivered(_, delta) => delivered += delta.delivered(),
+                    Report::Part(id, inst, bytes) if inst == sink => {
+                        let count = decode_position(Some(&bytes), "sink count").unwrap();
+                        assert_eq!(
+                            count,
+                            id * 64 * p as u64,
+                            "p={p}: part {id} counts its barrier"
+                        );
+                        assert_eq!(count, delivered, "p={p}: part {id} follows its deliveries");
+                        parts.push(bytes);
+                    }
+                    Report::Part(..) => {}
                 }
-                Report::Part(..) => {}
             }
+            assert_eq!((delivered, parts.len()), (5_120, 64 / p), "p={p}");
+            assert!(parts.last().unwrap().len() <= parts[0].len());
         }
-        assert_eq!((delivered, parts.len()), (5_120, 64));
-        assert!(parts.last().unwrap().len() <= parts[0].len());
     }
 }

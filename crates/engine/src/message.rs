@@ -109,90 +109,3 @@ pub enum Message {
     /// End of stream on this channel.
     Eos,
 }
-
-impl Message {
-    /// Whether this message carries data tuples (single or batched).
-    pub fn is_data(&self) -> bool {
-        matches!(self, Message::Data(_) | Message::Batch(_))
-    }
-}
-
-/// Tracks watermark progress across a set of input channels: an operator's
-/// effective watermark is the minimum across channels (Flink semantics).
-#[derive(Debug)]
-pub struct WatermarkTracker {
-    per_channel: Vec<i64>,
-    current: i64,
-}
-
-impl WatermarkTracker {
-    /// Tracker over `channels` input channels.
-    pub fn new(channels: usize) -> Self {
-        WatermarkTracker {
-            per_channel: vec![i64::MIN; channels],
-            current: i64::MIN,
-        }
-    }
-
-    /// Record a watermark from one channel; returns the new combined
-    /// watermark if it advanced.
-    pub fn observe(&mut self, channel: usize, watermark: i64) -> Option<i64> {
-        if watermark > self.per_channel[channel] {
-            self.per_channel[channel] = watermark;
-        }
-        let min = self.per_channel.iter().copied().min().unwrap_or(i64::MIN);
-        if min > self.current {
-            self.current = min;
-            Some(min)
-        } else {
-            None
-        }
-    }
-
-    /// A channel reached EOS: it no longer constrains the watermark.
-    pub fn close_channel(&mut self, channel: usize) -> Option<i64> {
-        self.observe(channel, i64::MAX)
-    }
-
-    /// Current combined watermark.
-    pub fn current(&self) -> i64 {
-        self.current
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn combined_watermark_is_minimum() {
-        let mut t = WatermarkTracker::new(2);
-        assert_eq!(t.observe(0, 100), None, "other channel still at MIN");
-        assert_eq!(t.observe(1, 50), Some(50));
-        assert_eq!(t.observe(0, 200), None);
-        assert_eq!(t.observe(1, 150), Some(150));
-    }
-
-    #[test]
-    fn watermarks_never_regress() {
-        let mut t = WatermarkTracker::new(1);
-        assert_eq!(t.observe(0, 100), Some(100));
-        assert_eq!(t.observe(0, 90), None);
-        assert_eq!(t.current(), 100);
-    }
-
-    #[test]
-    fn closed_channels_release_watermark() {
-        let mut t = WatermarkTracker::new(2);
-        t.observe(0, 500);
-        assert_eq!(t.current(), i64::MIN);
-        assert_eq!(t.close_channel(1), Some(500));
-    }
-
-    #[test]
-    fn single_channel_passthrough() {
-        let mut t = WatermarkTracker::new(1);
-        assert_eq!(t.observe(0, 7), Some(7));
-        assert_eq!(t.observe(0, 9), Some(9));
-    }
-}

@@ -255,8 +255,9 @@ impl PhysicalPlan {
     }
 
     /// instance id -> the head of its chain (itself when it is not a chain
-    /// member, or heads one): the instance whose thread runs it.
-    pub(crate) fn chain_heads(&self) -> Vec<usize> {
+    /// member, or heads one): the instance whose thread runs it, and so the
+    /// one whose placement it shares.
+    pub fn chain_heads(&self) -> Vec<usize> {
         let mut heads: Vec<usize> = (0..self.instance_count()).collect();
         // A member visited before its head labels its own suffix of the
         // chain; the head, visited later, relabels the whole chain.

@@ -2,10 +2,10 @@
 //!
 //! Every runtime hands its worker loops a set of [`Sender`] endpoints, one
 //! per downstream physical instance. Where those senders deliver is the
-//! transport's business: [`LocalTransport`] returns the real in-process
-//! channel senders (the threaded and fault-tolerant runtimes are the
-//! `local` instantiation of the trait), while the distributed runtime's
-//! mesh transport returns proxy senders whose frames are serialized onto a
+//! transport's business: a [`SenderTable`] labelled "local" returns the
+//! real in-process channel senders (the threaded and fault-tolerant
+//! runtimes), while a distributed worker's table, labelled "tcp", returns
+//! proxy senders for remote instances, whose frames are serialized onto a
 //! TCP connection to the worker hosting the target instance. The worker
 //! loops — and the [`crate::batch::EdgeBatcher`] hot path — are transport
 //! agnostic: they only ever see `Sender<Envelope>`.
@@ -47,26 +47,20 @@ pub(crate) trait Transport: Send + Sync {
     }
 }
 
-/// In-process transport: every instance's endpoint is its real channel
-/// sender. Dropping the transport drops the engine's copies of the senders,
-/// so receivers observe disconnects when workers die.
-pub(crate) struct LocalTransport {
-    senders: Vec<Sender<Envelope>>,
+/// Transport over a table of senders indexed by instance id, `None` where
+/// an instance has no endpoint. Dropping the transport drops the engine's
+/// copies of the senders, so receivers observe disconnects when workers die.
+pub(crate) struct SenderTable {
+    pub(crate) senders: Vec<Option<Sender<Envelope>>>,
+    pub(crate) kind: &'static str,
 }
 
-impl LocalTransport {
-    /// Wrap the per-instance input senders.
-    pub(crate) fn new(senders: Vec<Sender<Envelope>>) -> Self {
-        LocalTransport { senders }
-    }
-}
-
-impl Transport for LocalTransport {
+impl Transport for SenderTable {
     fn sender(&self, instance: usize) -> Option<Sender<Envelope>> {
-        self.senders.get(instance).cloned()
+        self.senders.get(instance).and_then(Option::clone)
     }
 
     fn kind(&self) -> &'static str {
-        "local"
+        self.kind
     }
 }

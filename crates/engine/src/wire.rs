@@ -362,7 +362,7 @@ mod tests {
                         }),
                     })
                 }
-                // What `WatermarkTracker::close_channel` sends.
+                // The watermark that no longer holds anything back.
                 3 => Message::Watermark(i64::MAX),
                 4 => Message::Watermark(self.int()),
                 5 => Message::Barrier(self.roll()),
