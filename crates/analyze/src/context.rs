@@ -137,10 +137,6 @@ fn key_flows(
                     Partitioning::Hash(fields) => Flow::Keys(fields.iter().copied().collect()),
                     Partitioning::Forward => out[e.from].clone(),
                     Partitioning::Rebalance => Flow::Unknown,
-                    // Hot-key splitting deliberately spreads each key group
-                    // over several instances: no colocation guarantee (the
-                    // downstream merge stage restores per-key results).
-                    Partitioning::HashSplit(..) => Flow::Unknown,
                 }
             };
             in_flows.push((e.port, flow));

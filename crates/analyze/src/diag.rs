@@ -125,8 +125,6 @@ pub enum Code {
     ParallelismCliff,
     /// PB051: keyed stateful operator vulnerable to hot-key skew.
     SkewVulnerableKeyedOp,
-    /// PB052: hot-key-split edge with no downstream merge stage.
-    UnmergedHotKeySplit,
     /// PB053: event-time window merging independent streams without
     /// lateness tolerance.
     LatenessHazard,
@@ -140,8 +138,6 @@ pub enum Code {
     DoubleKey,
     /// PB065: time-based window over a stream with no `Timestamp` field.
     EventTimeUntyped,
-    /// PB066: arity drift across a `HashSplit`/merge pair.
-    SplitArityDrift,
     /// PB067: union branches with incompatible schemas.
     UnionSchemaMismatch,
     /// PB068: opaque UDO schema; downstream findings downgraded.
@@ -174,14 +170,12 @@ impl Code {
             Code::FunnelBottleneck => "PB042",
             Code::ParallelismCliff => "PB043",
             Code::SkewVulnerableKeyedOp => "PB051",
-            Code::UnmergedHotKeySplit => "PB052",
             Code::LatenessHazard => "PB053",
             Code::UnknownField => "PB061",
             Code::InputTypeMismatch => "PB062",
             Code::NonNumericAggregate => "PB063",
             Code::DoubleKey => "PB064",
             Code::EventTimeUntyped => "PB065",
-            Code::SplitArityDrift => "PB066",
             Code::UnionSchemaMismatch => "PB067",
             Code::OpaqueUdoSchema => "PB068",
             Code::ConstantPredicate => "PB069",
@@ -195,8 +189,7 @@ impl Code {
             | Code::JoinSidePartition
             | Code::KeyedUdoPartition
             | Code::GlobalOpSplit
-            | Code::NonDeterministicUdo
-            | Code::UnmergedHotKeySplit => Severity::Error,
+            | Code::NonDeterministicUdo => Severity::Error,
             Code::GlobalOpReplicated
             | Code::UndeclaredStatefulPartition
             | Code::SideEffectingUdo
@@ -217,13 +210,13 @@ impl Code {
             | Code::InputTypeMismatch
             | Code::NonNumericAggregate
             | Code::UnionSchemaMismatch => Severity::Error,
-            Code::DoubleKey | Code::SplitArityDrift | Code::ConstantPredicate => Severity::Warning,
+            Code::DoubleKey | Code::ConstantPredicate => Severity::Warning,
             Code::EventTimeUntyped | Code::OpaqueUdoSchema => Severity::Hint,
         }
     }
 
     /// Every stable code, in PB-number order — the `--explain` index.
-    pub const ALL: [Code; 31] = [
+    pub const ALL: [Code; 29] = [
         Code::KeyedAggPartition,
         Code::JoinSidePartition,
         Code::KeyedUdoPartition,
@@ -244,14 +237,12 @@ impl Code {
         Code::FunnelBottleneck,
         Code::ParallelismCliff,
         Code::SkewVulnerableKeyedOp,
-        Code::UnmergedHotKeySplit,
         Code::LatenessHazard,
         Code::UnknownField,
         Code::InputTypeMismatch,
         Code::NonNumericAggregate,
         Code::DoubleKey,
         Code::EventTimeUntyped,
-        Code::SplitArityDrift,
         Code::UnionSchemaMismatch,
         Code::OpaqueUdoSchema,
         Code::ConstantPredicate,
@@ -349,10 +340,6 @@ impl Code {
                 "A keyed stateful operator is vulnerable to hot-key skew: one hot key pins \
                  its whole load on a single instance."
             }
-            Code::UnmergedHotKeySplit => {
-                "A hot-key-split (HashSplit) edge spreads one key over several instances but \
-                 no downstream stage merges the partials back: results are wrong."
-            }
             Code::LatenessHazard => {
                 "An event-time window merges independently progressing streams without \
                  allowed lateness; the slower stream's stragglers are dropped."
@@ -383,11 +370,6 @@ impl Code {
                  Timestamp-typed field. Event time rides on out-of-band tuple metadata, so \
                  this still runs — but the schema offers no provenance for where event time \
                  comes from."
-            }
-            Code::SplitArityDrift => {
-                "The merge stage downstream of a hot-key HashSplit emits a different arity \
-                 than the split stage, so the partial-aggregate shape leaks past the merge \
-                 into downstream operators."
             }
             Code::UnionSchemaMismatch => {
                 "Union branches carry structurally different schemas (width or field types \
@@ -431,15 +413,13 @@ impl Code {
             Code::ForwardChainBreak => "use Forward partitioning so the pair can chain",
             Code::FunnelBottleneck => "raise the bottleneck operator's parallelism",
             Code::ParallelismCliff => "smooth the parallelism change over adjacent operators",
-            Code::SkewVulnerableKeyedOp => "consider HashSplit + a merge stage for hot keys",
-            Code::UnmergedHotKeySplit => "add a merge UDO (merges_hot_key_splits) downstream",
+            Code::SkewVulnerableKeyedOp => "cap hot-key load with the overload config (shedding)",
             Code::LatenessHazard => "set overload.allowed_lateness_ms to tolerate stragglers",
             Code::UnknownField => "fix the field index or widen the source schema",
             Code::InputTypeMismatch => "align the field's declared type with the operator",
             Code::NonNumericAggregate => "aggregate a numeric field, or use Count",
             Code::DoubleKey => "key on an Int/Str field (e.g. a quantized id) instead",
             Code::EventTimeUntyped => "add a Timestamp field documenting the event-time source",
-            Code::SplitArityDrift => "make the merge UDO restore the split stage's output shape",
             Code::UnionSchemaMismatch => "map both branches to one shared schema before the union",
             Code::OpaqueUdoSchema => "declare the real output schema (SchemaPolicy::Declared)",
             Code::ConstantPredicate => "compare against a literal of the field's own type",

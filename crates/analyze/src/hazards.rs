@@ -1,19 +1,16 @@
-//! Overload and skew hazards (PB051-PB053): plans that run correctly at
+//! Overload and skew hazards (PB051, PB053): plans that run correctly at
 //! calibration load but degrade badly under adversarial streams — the
 //! hot-key, burst, and late-storm shapes the chaos suite generates.
 //!
-//! These are runtime-resilience findings, not correctness findings (with
-//! one exception): a keyed operator is *correct* under skew, it just
-//! concentrates an arbitrary fraction of the load on one instance. The
-//! exception is PB052 — a [`Partitioning::HashSplit`] edge deliberately
-//! breaks per-key colocation, so without a downstream merge stage the
-//! parallel answer diverges from the sequential one.
+//! These are runtime-resilience findings, not correctness findings: a
+//! keyed operator is *correct* under skew, it just concentrates an
+//! arbitrary fraction of the load on one instance.
 
 use crate::context::{AnalysisContext, Flow};
 use crate::diag::{Code, Diagnostic, Span};
 use crate::Pass;
 use pdsp_engine::operator::OpKind;
-use pdsp_engine::plan::{NodeId, Partitioning};
+use pdsp_engine::plan::NodeId;
 use pdsp_engine::window::WindowPolicy;
 
 /// Keyed operators below this parallelism are not flagged for skew: with
@@ -33,53 +30,16 @@ impl Pass for HazardPass {
         for &id in &ctx.topo {
             let node = &ctx.plan.nodes[id];
 
-            // PB052: a hot-key-split edge spreads each key group over
-            // several instances; some stage downstream must merge the
-            // partial per-key results or the output is wrong.
-            for e in ctx.plan.out_edges(id) {
-                if let Partitioning::HashSplit(_, splits) = &e.partitioning {
-                    if *splits >= 2 && !merge_downstream(ctx, e.to) {
-                        let to = &ctx.plan.nodes[e.to];
-                        out.push(
-                            Diagnostic::new(
-                                Code::UnmergedHotKeySplit,
-                                Span::Edge {
-                                    from: e.from,
-                                    to: e.to,
-                                    port: e.port,
-                                },
-                                format!(
-                                    "'{}' -> '{}' splits each key over {} instances but no \
-                                     downstream operator merges the partial per-key results; \
-                                     parallel output diverges from sequential output",
-                                    node.name, to.name, splits
-                                ),
-                            )
-                            .with_suggestion(
-                                "add a merge stage (a UDO declaring merges_hot_key_splits, e.g. \
-                                 window_merge_udo) hash-partitioned on the split key",
-                            ),
-                        );
-                    }
-                }
-            }
-
             // PB051: a keyed stateful operator routes each key group to
             // exactly one instance — under a hot key (one key taking
             // >=50% of traffic) that instance takes >=50% of the load
-            // regardless of parallelism. Split edges are the mitigation,
-            // so an incoming HashSplit suppresses the hint.
+            // regardless of parallelism.
             if node.parallelism >= SKEW_PARALLELISM_LIMIT {
                 let keys = state_keys(ctx, id);
-                let split_input = ctx
-                    .plan
-                    .in_edges(id)
-                    .iter()
-                    .any(|e| matches!(e.partitioning, Partitioning::HashSplit(_, s) if s >= 2));
                 let keyed_input = ctx.in_flows[id].iter().any(|(_, f)| {
                     matches!(f, Flow::Keys(_)) && keys.iter().any(|k| f.colocates(*k))
                 });
-                if keyed_input && !split_input {
+                if keyed_input {
                     out.push(
                         Diagnostic::new(
                             Code::SkewVulnerableKeyedOp,
@@ -97,9 +57,8 @@ impl Pass for HazardPass {
                             ),
                         )
                         .with_suggestion(
-                            "if the workload is skewed, split the hot keys with \
-                             Partitioning::HashSplit plus a downstream merge stage, or cap the \
-                             damage with the engine's overload config (load shedding)",
+                            "if the workload is skewed, cap the damage with the engine's \
+                             overload config (load shedding)",
                         ),
                     );
                 }
@@ -164,18 +123,6 @@ fn state_keys(ctx: &AnalysisContext, id: NodeId) -> Vec<usize> {
             .collect(),
         _ => Vec::new(),
     }
-}
-
-/// True when `start` or anything reachable from it declares that it
-/// merges hot-key-split partials.
-fn merge_downstream(ctx: &AnalysisContext, start: NodeId) -> bool {
-    std::iter::once(start)
-        .chain(ctx.reach[start].iter().copied())
-        .any(|n| {
-            ctx.udo_properties(n)
-                .map(|p| p.merges_hot_key_splits)
-                .unwrap_or(false)
-        })
 }
 
 /// Stateful operators keeping event-time-bounded state: their output

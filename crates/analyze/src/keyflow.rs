@@ -112,17 +112,6 @@ fn check_keyed_input(
         if flow.colocates(key) {
             continue;
         }
-        // Hot-key splitting on the operator's own key breaks colocation
-        // deliberately; whether a merge stage restores the per-key results
-        // is the hazard pass's question (PB052), not a partition error.
-        if ctx.plan.in_edges(id).iter().any(|e| {
-            e.port == *port
-                && matches!(&e.partitioning,
-                    pdsp_engine::plan::Partitioning::HashSplit(fields, _)
-                        if fields.is_empty() || fields.iter().all(|&f| f == key))
-        }) {
-            continue;
-        }
         out.push(
             Diagnostic::new(
                 code,

@@ -13,8 +13,8 @@
 //! | state-bounds | PB021-PB023 | does memory stay flat over an unbounded stream? |
 //! | backpressure | PB031-PB033 | can the channel topology stall or amplify load? |
 //! | cost-smells | PB041-PB043 | is throughput left on the table? |
-//! | hazards | PB051-PB053 | does the plan survive hot keys, bursts, and late storms? |
-//! | typeflow | PB061-PB069 | does every field on every edge have the type its consumers expect? |
+//! | hazards | PB051, PB053 | does the plan survive hot keys, bursts, and late storms? |
+//! | typeflow | PB061-PB065, PB067-PB069 | does every field on every edge have the type its consumers expect? |
 //!
 //! Unlike [`LogicalPlan::validate`], the analyzer accepts semantically
 //! broken plans on purpose — it exists to *explain* what is wrong with

@@ -1,7 +1,7 @@
-//! Schema inference and type-flow findings (PB061-PB069): the whole-plan
-//! abstract interpretation over the schema domain, run by the engine's
-//! [`pdsp_engine::schema_flow`] module and mapped onto stable diagnostics
-//! here.
+//! Schema inference and type-flow findings (PB061-PB065, PB067-PB069):
+//! the whole-plan abstract interpretation over the schema domain, run by
+//! the engine's [`pdsp_engine::schema_flow`] module and mapped onto stable
+//! diagnostics here.
 //!
 //! These are the correctness findings a benchmarking system needs *before*
 //! it measures anything: a mistyped field or silently coerced aggregate
@@ -43,7 +43,6 @@ fn to_diagnostic(ctx: &AnalysisContext, issue: &SchemaIssue) -> Diagnostic {
         IssueKind::NonNumericAggregate => Code::NonNumericAggregate,
         IssueKind::DoubleKey => Code::DoubleKey,
         IssueKind::EventTimeUntyped => Code::EventTimeUntyped,
-        IssueKind::SplitArityDrift => Code::SplitArityDrift,
         IssueKind::UnionSchemaMismatch => Code::UnionSchemaMismatch,
         IssueKind::OpaqueUdo => Code::OpaqueUdoSchema,
         IssueKind::ConstantPredicate => Code::ConstantPredicate,

@@ -620,74 +620,6 @@ fn skew_vulnerable_agg() -> LogicalPlan {
     b.build_unchecked()
 }
 
-/// PB052: a hot-key-split edge whose downstream never merges partials.
-/// Splitting the pre-aggregator's input is the mitigation for the plan
-/// above — but without a merge stage the partial sums reach the sink as
-/// separate tuples.
-fn unmerged_hot_key_split() -> LogicalPlan {
-    let mut b = PlanBuilder::new();
-    let s = b.add_node(
-        "src",
-        OpKind::Source {
-            schema: two_field_schema(),
-        },
-        1,
-    );
-    let a = b.add_node(
-        "pre-agg",
-        OpKind::WindowAggregate {
-            window: WindowSpec::tumbling_count(8),
-            func: AggFunc::Sum,
-            agg_field: 1,
-            key_field: Some(0),
-        },
-        8,
-    );
-    let k = b.add_node("sink", OpKind::Sink, 1);
-    b.add_edge(s, a, 0, Partitioning::HashSplit(vec![0], 4));
-    b.add_edge(a, k, 0, Partitioning::Rebalance);
-    b.build_unchecked()
-}
-
-/// Control for PB052: the same split followed by a merge UDO. Also a
-/// control for PB051 — the split edge suppresses the skew hint on the
-/// pre-aggregator.
-fn merged_hot_key_split() -> LogicalPlan {
-    let mut b = PlanBuilder::new();
-    let s = b.add_node(
-        "src",
-        OpKind::Source {
-            schema: two_field_schema(),
-        },
-        1,
-    );
-    let a = b.add_node(
-        "pre-agg",
-        OpKind::WindowAggregate {
-            window: WindowSpec::tumbling_count(8),
-            func: AggFunc::Sum,
-            agg_field: 1,
-            key_field: Some(0),
-        },
-        8,
-    );
-    let m = b.add_node(
-        "merge",
-        udo(UdoProperties {
-            stateful: true,
-            keyed_state_field: Some(0),
-            merges_hot_key_splits: true,
-            ..UdoProperties::default()
-        }),
-        2,
-    );
-    let k = b.add_node("sink", OpKind::Sink, 1);
-    b.add_edge(s, a, 0, Partitioning::HashSplit(vec![0], 4));
-    b.add_edge(a, m, 0, Partitioning::Hash(vec![0]));
-    b.add_edge(m, k, 0, Partitioning::Rebalance);
-    b.build_unchecked()
-}
-
 /// PB053: an event-time join of two independent sources.
 fn two_source_time_join() -> LogicalPlan {
     let mut b = PlanBuilder::new();
@@ -919,32 +851,6 @@ fn pb051_skew_vulnerable_keyed_agg_is_a_hint() {
 }
 
 #[test]
-fn pb052_unmerged_hot_key_split_is_an_error() {
-    assert_codes(
-        "unmerged-hot-key-split",
-        &unmerged_hot_key_split(),
-        &[Code::UnmergedHotKeySplit],
-    );
-}
-
-#[test]
-fn merged_hot_key_split_is_error_free_and_unflagged() {
-    let report = analyze("merged-hot-key-split", &merged_hot_key_split()).unwrap();
-    assert_eq!(report.errors(), 0, "{}", report.render());
-    assert!(
-        !report.has(Code::UnmergedHotKeySplit),
-        "{}",
-        report.render()
-    );
-    // The split edge is the mitigation: no skew hint on the pre-aggregator.
-    assert!(
-        !report.has(Code::SkewVulnerableKeyedOp),
-        "{}",
-        report.render()
-    );
-}
-
-#[test]
 fn pb053_two_source_time_join() {
     let plan = two_source_time_join();
     assert_codes("two-source-time-join", &plan, &[Code::LatenessHazard]);
@@ -1014,69 +920,6 @@ fn time_window_untyped_stream() -> LogicalPlan {
         .window_agg_keyed("agg", WindowSpec::tumbling_time(1_000), AggFunc::Sum, 1, 0)
         .sink("sink")
         .build_unchecked()
-}
-
-/// A merge UDO whose declared output arity differs from the split stage.
-struct DriftingMerge;
-
-impl UdoFactory for DriftingMerge {
-    fn name(&self) -> &str {
-        "drifting-merge"
-    }
-    fn create(&self) -> Box<dyn Udo> {
-        Box::new(PassThroughUdo)
-    }
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile::stateful(1_000.0, 1.0, 1.0)
-    }
-    fn output_schema(&self, _input: &Schema) -> Schema {
-        // Split stage (a keyed aggregate) emits [key, window_end, agg];
-        // this merge narrows to two fields, leaking partial shape.
-        Schema::of(&[FieldType::Int, FieldType::Double])
-    }
-    fn properties(&self) -> UdoProperties {
-        UdoProperties {
-            stateful: true,
-            keyed_state_field: Some(0),
-            merges_hot_key_splits: true,
-            ..UdoProperties::default()
-        }
-    }
-}
-
-/// PB066: a hot-key split whose merge stage emits a different arity than
-/// the split stage.
-fn split_merge_arity_drift() -> LogicalPlan {
-    let mut b = PlanBuilder::new();
-    let s = b.add_node(
-        "src",
-        OpKind::Source {
-            schema: two_field_schema(),
-        },
-        1,
-    );
-    let a = b.add_node(
-        "pre-agg",
-        OpKind::WindowAggregate {
-            window: WindowSpec::tumbling_count(8),
-            func: AggFunc::Sum,
-            agg_field: 1,
-            key_field: Some(0),
-        },
-        8,
-    );
-    let m = b.add_node(
-        "merge",
-        OpKind::Udo {
-            factory: std::sync::Arc::new(DriftingMerge),
-        },
-        2,
-    );
-    let k = b.add_node("sink", OpKind::Sink, 1);
-    b.add_edge(s, a, 0, Partitioning::HashSplit(vec![0], 4));
-    b.add_edge(a, m, 0, Partitioning::Hash(vec![0]));
-    b.add_edge(m, k, 0, Partitioning::Rebalance);
-    b.build_unchecked()
 }
 
 /// PB067: a union of two sources with incompatible schemas.
@@ -1197,15 +1040,6 @@ fn pb065_untyped_event_time_is_hint() {
         .find(|d| d.code == Code::EventTimeUntyped)
         .unwrap();
     assert_eq!(d.severity, Severity::Hint);
-}
-
-#[test]
-fn pb066_split_merge_arity_drift() {
-    assert_codes(
-        "split-merge-arity-drift",
-        &split_merge_arity_drift(),
-        &[Code::SplitArityDrift],
-    );
 }
 
 #[test]

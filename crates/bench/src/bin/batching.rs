@@ -1,9 +1,9 @@
 //! Micro-batching before/after benchmark: runs representative applications
-//! on the threaded runtime twice — once with `batch_size = 1` (the
-//! historical tuple-at-a-time wire format, bit-for-bit identical frames)
-//! and once with the batched data plane — and writes `BENCH_batching.json`
-//! with throughput, latency, and the per-app speedup. CI runs this at
-//! reduced scale and uploads the file next to `BENCH_telemetry.json`.
+//! on the threaded runtime twice — once with `batch_size = 1` (one tuple
+//! per frame, the tuple-at-a-time data plane) and once with the batched
+//! data plane — and writes `BENCH_batching.json` with throughput, latency,
+//! and the per-app speedup. CI runs this at reduced scale and uploads the
+//! file next to `BENCH_telemetry.json`.
 //!
 //! ```text
 //! cargo run --release -p pdsp-bench-benches --bin batching

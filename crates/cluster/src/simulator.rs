@@ -946,39 +946,6 @@ impl Simulator {
                         };
                         vec![pick]
                     }
-                    Partitioning::HashSplit(_, splits) => {
-                        // Hot-key splitting: the key range picks a base
-                        // instance (skew-weighted like Hash), then a
-                        // round-robin offset rotates it over `splits`
-                        // consecutive instances — a hot range's load is
-                        // spread instead of concentrated.
-                        let n = route.targets.len();
-                        let splits = (*splits).clamp(1, n.max(1));
-                        let base = match skew {
-                            None => rng.gen_range(0..n),
-                            Some(s) => {
-                                let cdf = zipf_cdfs.entry(n).or_insert_with(|| {
-                                    let mut acc = 0.0;
-                                    let mut cdf: Vec<f64> = (1..=n)
-                                        .map(|k| {
-                                            acc += (k as f64).powf(-s);
-                                            acc
-                                        })
-                                        .collect();
-                                    let total = acc;
-                                    for c in &mut cdf {
-                                        *c /= total;
-                                    }
-                                    cdf
-                                });
-                                let u: f64 = rng.gen_range(0.0..1.0);
-                                cdf.partition_point(|&c| c < u).min(n - 1)
-                            }
-                        };
-                        let offset = rr[ev.instance][ri] % splits;
-                        rr[ev.instance][ri] += 1;
-                        vec![(base + offset) % n.max(1)]
-                    }
                 };
                 for ti in pick_targets {
                     let target = route.targets[ti];

@@ -1114,32 +1114,43 @@ mod tests {
 
     #[test]
     fn traced_threaded_run_stores_a_queryable_trace_set() {
-        let c = controller().with_telemetry(TelemetryConfig {
-            interval_ms: 20,
-            trace_every: 16,
-            ..TelemetryConfig::default()
-        });
-        let app = pdsp_apps::word_count::WordCount;
-        let cfg = AppConfig {
-            total_tuples: 2_000,
-            ..AppConfig::default()
-        };
-        let record = c.run_threaded(&app, &cfg, 2).unwrap();
-        let id = record.experiment_id.expect("instrumented run gets an id");
-        let traces = c.traces_for(&id).expect("trace set stored under id");
-        assert_eq!(traces.backend, "threaded");
-        assert_eq!(traces.app, "WC");
-        assert_eq!(traces.sample_every, 16);
-        assert!(!traces.spans.is_empty(), "sampled spans were recorded");
-        let trees = pdsp_telemetry::assemble(traces.spans);
-        assert!(
-            trees
-                .iter()
-                .filter_map(pdsp_telemetry::critical_path)
-                .next()
-                .is_some(),
-            "at least one sampled trace reaches the sink"
-        );
+        // Batch size 1 sends one-tuple frames, traced like any other.
+        for batch_size in [RunConfig::default().batch_size, 1] {
+            let c = controller()
+                .with_run_config(RunConfig {
+                    batch_size,
+                    ..RunConfig::default()
+                })
+                .with_telemetry(TelemetryConfig {
+                    interval_ms: 20,
+                    trace_every: 16,
+                    ..TelemetryConfig::default()
+                });
+            let app = pdsp_apps::word_count::WordCount;
+            let cfg = AppConfig {
+                total_tuples: 2_000,
+                ..AppConfig::default()
+            };
+            let record = c.run_threaded(&app, &cfg, 2).unwrap();
+            let id = record.experiment_id.expect("instrumented run gets an id");
+            let traces = c.traces_for(&id).expect("trace set stored under id");
+            assert_eq!(traces.backend, "threaded");
+            assert_eq!(traces.app, "WC");
+            assert_eq!(traces.sample_every, 16);
+            assert!(
+                !traces.spans.is_empty(),
+                "batch size {batch_size}: sampled spans were recorded"
+            );
+            let trees = pdsp_telemetry::assemble(traces.spans);
+            assert!(
+                trees
+                    .iter()
+                    .filter_map(pdsp_telemetry::critical_path)
+                    .next()
+                    .is_some(),
+                "batch size {batch_size}: at least one sampled trace reaches the sink"
+            );
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! behave identically to a tuple-at-a-time data plane, and checkpoints
 //! align at batch boundaries by construction.
 //!
-//! With `batch_size == 1` the batcher bypasses the builders entirely and
-//! sends `Message::Data` frames — bit-for-bit the per-tuple data plane.
+//! With `batch_size == 1` every push fills its builder, so each tuple
+//! travels as a one-tuple frame: the per-tuple data plane, traced like any
+//! other.
 
 use crate::error::{EngineError, Result};
 use crate::message::{Batch, FrameTrace, Message};
@@ -150,8 +151,7 @@ impl EdgeBatcher {
     }
 
     /// Route `tuple` through every out-edge partitioner into the selected
-    /// builders, flushing any builder that reaches the size bound. With
-    /// `batch_size == 1` this sends a `Message::Data` frame directly.
+    /// builders, flushing any builder that reaches the size bound.
     ///
     /// The tuple is cloned only when it has more than one destination
     /// (multiple out-edges or broadcast partitioning); the final
@@ -186,22 +186,6 @@ impl EdgeBatcher {
     }
 
     fn push(&mut self, probe: &Probe, ri: usize, ti: usize, tuple: Tuple) -> Result<()> {
-        // The direct-send shortcut is only safe when nothing is buffered
-        // for this slot: adaptive batching can shrink the bound back to 1
-        // while the builder still holds tuples from a larger bound, and a
-        // direct send would overtake them (reordering the edge).
-        // `Message::Data` frames carry no trace slot, so a `batch_size == 1`
-        // data plane is untraced by design.
-        if self.max == 1 && self.builders[ri][ti].is_empty() {
-            self.downstream[ri][ti]
-                .send(Envelope {
-                    channel: self.routes[ri].targets[ti].channel,
-                    msg: Message::Data(tuple),
-                })
-                .map_err(|_| disconnected())?;
-            probe.batch_out(1, FlushReason::Size);
-            return Ok(());
-        }
         let builder = &mut self.builders[ri][ti];
         if builder.capacity() == 0 {
             builder.reserve_exact(self.max);
@@ -270,10 +254,6 @@ impl EdgeBatcher {
 
     /// Flush every non-empty builder (about to wait, markers, EOS).
     pub(crate) fn flush_all(&mut self, probe: &Probe, reason: FlushReason) -> Result<()> {
-        // No `max == 1` shortcut here: the bound can shrink to 1 at runtime
-        // (adaptive batching) while builders still hold tuples from a larger
-        // bound, and those must drain. With a static max of 1 the builders
-        // are always empty, so the loop is free.
         for ri in 0..self.builders.len() {
             for ti in 0..self.builders[ri].len() {
                 self.flush_one(probe, ri, ti, reason)?;
@@ -366,14 +346,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_one_sends_plain_data_frames() {
+    fn batch_size_one_sends_one_tuple_frames() {
         let routes = vec![route_to(1, Partitioning::Forward)];
         let (tx, rx) = unbounded();
         let downstream = vec![vec![tx]];
         let mut b = EdgeBatcher::new(routes, downstream, 1);
         let probe = Probe::default();
         b.scatter(&probe, tuple(7)).unwrap();
-        assert!(matches!(rx.try_recv().unwrap().msg, Message::Data(_)));
+        b.scatter(&probe, tuple(8)).unwrap();
+        let sizes: Vec<usize> = drain(&rx)
+            .into_iter()
+            .map(|msg| match msg {
+                Message::Batch(batch) => batch.len(),
+                other => panic!("expected batch, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(sizes, vec![1, 1]);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! * anything else — UDO, flat-map, union, source — has none.
 //!
 //! An input arrives partitioned on `F` over a `Hash(F)` edge, or over a
-//! `Forward` edge from a producer partitioned on `F`; rebalance, broadcast
-//! and `HashSplit` edges partition nothing.
+//! `Forward` edge from a producer partitioned on `F`; rebalance and
+//! broadcast edges partition nothing.
 
 use crate::error::Result;
 use crate::expr::ScalarExpr;
@@ -317,12 +317,8 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_hash_split_and_broadcast_upstream_partition_nothing() {
-        for first in [
-            Partitioning::Rebalance,
-            Partitioning::HashSplit(vec![0], 2),
-            Partitioning::Broadcast,
-        ] {
+    fn rebalance_and_broadcast_upstream_partition_nothing() {
+        for first in [Partitioning::Rebalance, Partitioning::Broadcast] {
             let plan = two_hop(
                 first.clone(),
                 filter(Predicate::True),

@@ -425,12 +425,10 @@ impl WireSchemaCheck {
         else {
             return;
         };
-        let tuples: &[crate::value::Tuple] = match &we.msg {
-            Message::Data(t) => std::slice::from_ref(t),
-            Message::Batch(b) => &b.tuples,
-            _ => return,
+        let Message::Batch(batch) = &we.msg else {
+            return;
         };
-        for t in tuples {
+        for t in &batch.tuples {
             if !schema.matches(t) {
                 let n = self.violations.fetch_add(1, Ordering::Relaxed);
                 if n == 0 {
@@ -1649,9 +1647,9 @@ mod tests {
         let mut stream = Vec::new();
         for msg in [
             Message::Batch(crate::message::Batch::new(vec![good.clone(), bad.clone()])),
-            Message::Data(good),
+            Message::Batch(crate::message::Batch::new(vec![good])),
             Message::Watermark(7),
-            Message::Data(bad),
+            Message::Batch(crate::message::Batch::new(vec![bad])),
         ] {
             let mut frame = vec![0u8; FRAME_PREFIX_BYTES];
             encode_frame(&mut frame, 2, 0, &msg);

@@ -225,7 +225,6 @@ impl Inputs {
                 continue;
             }
             let (tuples, trace) = match env.msg {
-                Message::Data(t) => (vec![t], None),
                 Message::Batch(b) => (b.tuples, b.trace),
                 Message::Watermark(wm) => match self.observe(c, wm) {
                     Some(w) => return Ok(Some(Event::Watermark(w))),
@@ -1423,7 +1422,7 @@ mod tests {
             (0, Barrier(1)),
             frame(0, &[1, 2]),
             (0, Watermark(5)),
-            (0, Message::Data(row(3))),
+            frame(0, &[3]),
             (1, Watermark(7)),
             frame(1, &[9]),
             (1, Barrier(1)),

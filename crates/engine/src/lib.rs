@@ -25,8 +25,7 @@
 //!
 //! Since the micro-batched data plane landed, tuples travel between physical
 //! instances as [`message::Batch`] frames built by per-edge batchers (see
-//! [`batch`]); `RunConfig::batch_size == 1` degenerates to the original
-//! tuple-at-a-time wire behaviour.
+//! [`batch`]); `RunConfig::batch_size == 1` sends one tuple per frame.
 
 #![warn(missing_docs)]
 
@@ -46,7 +45,6 @@ pub mod plan;
 pub mod pressure;
 pub mod runtime;
 pub mod schema_flow;
-pub mod skew;
 pub mod state;
 pub mod telemetry;
 pub mod testplan;
@@ -71,7 +69,6 @@ pub use plan::{Edge, LogicalNode, LogicalPlan, NodeId, Partitioning};
 pub use pressure::{OverloadConfig, PressureGauge, PressureLevel, ShedPolicy, Shedder};
 pub use runtime::{RunConfig, RunResult, ThreadedRuntime};
 pub use schema_flow::{IssueAt, IssueKind, SchemaFlow, SchemaIssue};
-pub use skew::{is_mergeable, window_merge_udo};
 pub use telemetry::telemetry_for_plan;
 pub use value::{Field, FieldType, Schema, Tuple, Value};
 pub use window::{WindowKind, WindowPolicy, WindowSpec};

@@ -3,7 +3,8 @@
 //! The data plane is *micro-batched*: senders accumulate tuples into
 //! per-destination [`Batch`] frames and flush them when a frame is full
 //! (`RunConfig::batch_size`), before they wait for input, and at marker
-//! boundaries (see `crate::batch`).
+//! boundaries (see `crate::batch`). [`Batch`] is the only data framing:
+//! with `batch_size == 1` each frame holds one tuple.
 //! Markers — watermarks, checkpoint barriers, end-of-stream — are always
 //! preceded by a flush of every pending batch on the same edge, so the
 //! channel-order invariants the watermark and checkpoint protocols rely on
@@ -95,9 +96,8 @@ impl Batch {
 /// encodings); the data plane does not use them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message {
-    /// A single data tuple (the `batch_size == 1` framing).
-    Data(Tuple),
-    /// A micro-batch of data tuples (the `batch_size > 1` framing).
+    /// A micro-batch of data tuples, the only data framing: with
+    /// `batch_size == 1` each frame holds one tuple.
     Batch(Batch),
     /// Event-time watermark (ms): no tuple with event time < wm follows on
     /// this channel.

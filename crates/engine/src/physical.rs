@@ -337,18 +337,6 @@ impl RouterState {
                 RouteTargets::One((tuple.key_hash(fields) % n) as usize)
             }
             Partitioning::Broadcast => RouteTargets::All,
-            Partitioning::HashSplit(fields, splits) => {
-                // Hash picks the base instance, then a round-robin offset
-                // rotates each key's tuples over `splits` consecutive
-                // instances — a hot key is pre-aggregated by that many
-                // workers and merged downstream.
-                let n = route.targets.len();
-                let splits = (*splits).clamp(1, n.max(1));
-                let base = (tuple.key_hash(fields) % n.max(1) as u64) as usize;
-                let offset = self.rr[route_idx] % splits;
-                self.rr[route_idx] = self.rr[route_idx].wrapping_add(1);
-                RouteTargets::One((base + offset) % n.max(1))
-            }
         }
     }
 }
@@ -472,30 +460,6 @@ mod tests {
         let mut router = RouterState::new(1);
         let t = Tuple::new(vec![Value::Int(1)]);
         assert_eq!(router.select(0, &route, &t), RouteTargets::All);
-    }
-
-    #[test]
-    fn hash_split_rotates_one_key_over_split_instances() {
-        let phys = PhysicalPlan::expand(&plan(4)).unwrap();
-        let src = phys.node_instances[0][0];
-        let mut route = phys.out_routes[src][0].clone();
-        route.partitioning = Partitioning::HashSplit(vec![0], 2);
-        let mut router = RouterState::new(1);
-        let t = Tuple::new(vec![Value::Int(42)]);
-        let picks: Vec<usize> = (0..6)
-            .map(|_| match router.select(0, &route, &t) {
-                RouteTargets::One(i) => i,
-                RouteTargets::All => unreachable!(),
-            })
-            .collect();
-        let distinct: std::collections::HashSet<usize> = picks.iter().copied().collect();
-        assert_eq!(distinct.len(), 2, "one key spreads over exactly 2 slots");
-        // Single split degenerates to plain hashing.
-        let mut router1 = RouterState::new(1);
-        route.partitioning = Partitioning::HashSplit(vec![0], 1);
-        let a = router1.select(0, &route, &t);
-        let b = router1.select(0, &route, &t);
-        assert_eq!(a, b);
     }
 
     #[test]

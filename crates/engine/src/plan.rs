@@ -21,13 +21,6 @@ pub enum Partitioning {
     Hash(Vec<usize>),
     /// Every downstream instance receives every tuple.
     Broadcast,
-    /// Hot-key splitting: the hash of the given fields picks a *base*
-    /// instance, then tuples rotate round-robin across the next `splits`
-    /// instances (mod parallelism). A skewed key's traffic spreads over
-    /// `splits` pre-aggregators instead of melting one; a downstream merge
-    /// stage (hash-partitioned on the split key) reassembles per-key
-    /// results. `HashSplit(fields, 1)` degenerates to plain `Hash`.
-    HashSplit(Vec<usize>, usize),
 }
 
 /// A logical operator node.
@@ -232,24 +225,6 @@ impl LogicalPlan {
                         }
                     }
                 }
-                Partitioning::HashSplit(fields, splits) => {
-                    if *splits == 0 {
-                        return Err(EngineError::InvalidPlan(format!(
-                            "edge {} -> {}: HashSplit needs at least 1 split",
-                            from.name, to.name
-                        )));
-                    }
-                    let width = schemas[e.from].width();
-                    for &f in fields {
-                        if f >= width {
-                            return Err(EngineError::InvalidKeyField {
-                                operator: from.name.clone(),
-                                field: f,
-                                schema_width: width,
-                            });
-                        }
-                    }
-                }
                 _ => {}
             }
         }
@@ -293,13 +268,6 @@ impl LogicalPlan {
                         // degenerates to a single target instance) keeps
                         // each key on one instance.
                         Partitioning::Hash(fields) => {
-                            fields.is_empty() || fields.iter().all(|&f| f == key)
-                        }
-                        // Hot-key splitting deliberately spreads one key
-                        // over several pre-aggregators; accepted here when
-                        // it splits on the operator's own key (the analyzer
-                        // flags split edges lacking a downstream merge).
-                        Partitioning::HashSplit(fields, _) => {
                             fields.is_empty() || fields.iter().all(|&f| f == key)
                         }
                         Partitioning::Forward => true,
@@ -743,40 +711,5 @@ mod tests {
         let back: PlanDescriptor = serde_json::from_str(&json).unwrap();
         assert_eq!(back.nodes.len(), 3);
         assert_eq!(back.nodes[1].parallelism, 2);
-    }
-
-    #[test]
-    fn hash_split_roundtrips_through_json() {
-        let mut p = linear_plan();
-        p.edges[0].partitioning = Partitioning::HashSplit(vec![0], 3);
-        let d = p.descriptor();
-        let json = serde_json::to_string(&d).unwrap();
-        let back: PlanDescriptor = serde_json::from_str(&json).unwrap();
-        assert_eq!(
-            back.edges[0].partitioning,
-            Partitioning::HashSplit(vec![0], 3)
-        );
-    }
-
-    #[test]
-    fn hash_split_validation() {
-        let mut p = keyed_agg_plan(Partitioning::HashSplit(vec![0], 2), 4);
-        p.validate().unwrap();
-        p.edges[0].partitioning = Partitioning::HashSplit(vec![0], 0);
-        assert!(matches!(
-            p.validate().unwrap_err(),
-            EngineError::InvalidPlan(_)
-        ));
-        p.edges[0].partitioning = Partitioning::HashSplit(vec![9], 2);
-        assert!(matches!(
-            p.validate().unwrap_err(),
-            EngineError::InvalidKeyField { .. }
-        ));
-        // Splitting on a non-key field under a keyed operator is rejected.
-        p.edges[0].partitioning = Partitioning::HashSplit(vec![1], 2);
-        assert!(matches!(
-            p.validate().unwrap_err(),
-            EngineError::KeyedPartitionMismatch { .. }
-        ));
     }
 }

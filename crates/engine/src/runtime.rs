@@ -86,8 +86,8 @@ pub struct RunConfig {
     /// always collected for all).
     pub capture_limit: usize,
     /// Maximum tuples per outgoing micro-batch frame. `1` sends every tuple
-    /// as its own `Message::Data` frame — the per-tuple data plane, kept
-    /// bit-for-bit as the measurable baseline.
+    /// in a frame of its own — the per-tuple data plane, kept as the
+    /// measurable baseline.
     pub batch_size: usize,
     /// Rewrite the logical plan with [`crate::chaining::fuse`] before
     /// expansion, turning hash exchanges that send every tuple back to the

@@ -66,10 +66,6 @@ pub enum IssueKind {
     /// field: event time rides only on out-of-band tuple metadata, so the
     /// schema offers no provenance for it (PB065, hint).
     EventTimeUntyped,
-    /// The merge stage downstream of a `HashSplit` edge emits a different
-    /// arity than the split stage: partial-aggregate shape leaks past the
-    /// merge (PB066, warning).
-    SplitArityDrift,
     /// Union inputs with structurally different schemas (PB067, error).
     UnionSchemaMismatch,
     /// Inference crossed a UDO declared `SchemaPolicy::Opaque`; everything
@@ -103,7 +99,6 @@ impl fmt::Display for IssueKind {
             IssueKind::NonNumericAggregate => "non-numeric-aggregate",
             IssueKind::DoubleKey => "double-key",
             IssueKind::EventTimeUntyped => "event-time-untyped",
-            IssueKind::SplitArityDrift => "split-arity-drift",
             IssueKind::UnionSchemaMismatch => "union-schema-mismatch",
             IssueKind::OpaqueUdo => "opaque-udo",
             IssueKind::ConstantPredicate => "constant-predicate",
@@ -498,51 +493,19 @@ impl SchemaFlow {
         let mut edge = Vec::with_capacity(plan.edges.len());
         for (ei, e) in plan.edges.iter().enumerate() {
             let schema = node_output[e.from].clone();
-            match &e.partitioning {
-                Partitioning::Hash(fields) | Partitioning::HashSplit(fields, _) => {
-                    for &f in fields {
-                        check_key_field(
-                            f,
-                            &schema,
-                            IssueAt::Edge(ei),
-                            "hash partitioning",
-                            &mut issues,
-                            tainted[e.from],
-                        );
-                    }
+            if let Partitioning::Hash(fields) = &e.partitioning {
+                for &f in fields {
+                    check_key_field(
+                        f,
+                        &schema,
+                        IssueAt::Edge(ei),
+                        "hash partitioning",
+                        &mut issues,
+                        tainted[e.from],
+                    );
                 }
-                _ => {}
             }
             edge.push(schema);
-        }
-
-        // Arity drift across HashSplit/merge pairs: the merge stage must
-        // restore the split stage's output shape.
-        for e in &plan.edges {
-            if !matches!(e.partitioning, Partitioning::HashSplit(..)) {
-                continue;
-            }
-            let split_stage = e.to;
-            for out in plan.out_edges(split_stage) {
-                let m = out.to;
-                let merges = matches!(&plan.nodes[m].kind, OpKind::Udo { factory }
-                    if factory.properties().merges_hot_key_splits);
-                if merges && node_output[m].width() != node_output[split_stage].width() {
-                    issues.push(SchemaIssue {
-                        kind: IssueKind::SplitArityDrift,
-                        at: IssueAt::Node(m),
-                        message: format!(
-                            "merge stage '{}' emits {} field(s) but the split stage '{}' emits \
-                             {}: partial-aggregate shape leaks downstream of the merge",
-                            plan.nodes[m].name,
-                            node_output[m].width(),
-                            plan.nodes[split_stage].name,
-                            node_output[split_stage].width()
-                        ),
-                        downgraded: tainted[split_stage],
-                    });
-                }
-            }
         }
 
         Ok(SchemaFlow {

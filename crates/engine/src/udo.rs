@@ -112,10 +112,6 @@ pub struct UdoProperties {
     /// `false` means state grows with the input and will eventually
     /// exhaust memory in a long-running deployment.
     pub bounded_state: bool,
-    /// The operator merges partial per-key results produced by hot-key
-    /// splitting (`Partitioning::HashSplit` upstream). The analyzer's
-    /// hazard pass uses this to recognize a split edge as mitigated.
-    pub merges_hot_key_splits: bool,
     /// How firmly the factory's [`UdoFactory::output_schema`] may be
     /// trusted by schema inference (see [`SchemaPolicy`]).
     pub schema_policy: SchemaPolicy,
@@ -131,7 +127,6 @@ impl Default for UdoProperties {
             requires_global_view: false,
             partition_tolerant: false,
             bounded_state: true,
-            merges_hot_key_splits: false,
             schema_policy: SchemaPolicy::Declared,
         }
     }

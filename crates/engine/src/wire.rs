@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! frame    := instance:u64 channel:u64 tag:u8 body
-//! body     := tuple                       tag 0  Message::Data
-//!           | count:u32 tuple*            tag 1  Message::Batch, untraced
+//! body     := count:u32 tuple*            tag 1  Message::Batch, untraced
 //!           | trace count:u32 tuple*      tag 2  Message::Batch, traced
 //!           | watermark:i64               tag 3  Message::Watermark
 //!           | checkpoint:u64              tag 4  Message::Barrier
@@ -18,6 +17,9 @@
 //! value    := 0 i64 | 1 f64-bits | 2 len:u32 utf8* | 3 bool:u8 | 4 i64
 //!             (Int, Double, Str, Bool, Timestamp)
 //! ```
+//!
+//! Tag 0 is retired and decodes as an unknown tag, so a one-tuple frame
+//! from an older encoder is rejected rather than misread.
 //!
 //! Values carry their own tag rather than following a per-channel schema:
 //! edges downstream of an Opaque UDO have no schema to follow, and one
@@ -36,7 +38,6 @@ use pdsp_telemetry::{SpanId, TraceContext, TraceId};
 use std::io;
 use std::sync::Arc;
 
-const TAG_DATA: u8 = 0;
 const TAG_BATCH: u8 = 1;
 const TAG_TRACED_BATCH: u8 = 2;
 const TAG_WATERMARK: u8 = 3;
@@ -63,10 +64,6 @@ pub fn encode_frame(buf: &mut Vec<u8>, instance: usize, channel: usize, msg: &Me
     buf.extend_from_slice(&(instance as u64).to_le_bytes());
     buf.extend_from_slice(&(channel as u64).to_le_bytes());
     match msg {
-        Message::Data(t) => {
-            buf.push(TAG_DATA);
-            encode_tuple(buf, t);
-        }
         Message::Batch(b) => {
             match &b.trace {
                 None => buf.push(TAG_BATCH),
@@ -132,7 +129,6 @@ pub fn decode_frame(frame: &[u8]) -> io::Result<(usize, usize, Message)> {
     let instance = r.index("instance")?;
     let channel = r.index("channel")?;
     let msg = match r.u8()? {
-        TAG_DATA => Message::Data(r.tuple()?),
         TAG_BATCH => Message::Batch(r.batch(None)?),
         TAG_TRACED_BATCH => {
             let trace = FrameTrace {
@@ -283,7 +279,6 @@ mod tests {
                 })
         };
         match (a, b) {
-            (Message::Data(x), Message::Data(y)) => same_tuple(x, y),
             (Message::Batch(x), Message::Batch(y)) => {
                 x.trace == y.trace
                     && x.tuples.len() == y.tuples.len()
@@ -347,12 +342,11 @@ mod tests {
 
         fn message(&mut self, variant: usize) -> Message {
             match variant {
-                0 => Message::Data(self.tuple()),
-                1 | 2 => {
+                0 | 1 => {
                     let n = 1 + (self.roll() % 5) as usize;
                     Message::Batch(Batch {
                         tuples: (0..n).map(|_| self.tuple()).collect(),
-                        trace: (variant == 2).then(|| FrameTrace {
+                        trace: (variant == 1).then(|| FrameTrace {
                             ctx: TraceContext {
                                 trace: TraceId(self.roll()),
                                 parent: SpanId(self.roll()),
@@ -363,9 +357,9 @@ mod tests {
                     })
                 }
                 // The watermark that no longer holds anything back.
-                3 => Message::Watermark(i64::MAX),
-                4 => Message::Watermark(self.int()),
-                5 => Message::Barrier(self.roll()),
+                2 => Message::Watermark(i64::MAX),
+                3 => Message::Watermark(self.int()),
+                4 => Message::Barrier(self.roll()),
                 _ => Message::Eos,
             }
         }
@@ -383,7 +377,7 @@ mod tests {
             channel in 0usize..64,
         ) {
             let mut dice = Dice(dice.iter());
-            for variant in 0..7 {
+            for variant in 0..6 {
                 let msg = dice.message(variant);
                 let bytes = encoded(instance, channel, &msg);
                 let (i, c, back) = decode_frame(&bytes).map_err(|e| {
@@ -478,7 +472,7 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(decode_frame(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        for variant in 0..7 {
+        for variant in 0..6 {
             let msg = Dice([5, 1, 2, 3, 0, 9, 9].iter()).message(variant);
             let bytes = encoded(0, 0, &msg);
             for cut in 0..bytes.len() {
@@ -495,7 +489,7 @@ mod tests {
         let (_, bytes, tags, lengths) = sample_batch();
         let valid_tag = |at: usize, b: u8| {
             if at == 16 {
-                b <= TAG_EOS
+                (TAG_BATCH..=TAG_EOS).contains(&b)
             } else {
                 b <= VAL_TIMESTAMP
             }
@@ -532,5 +526,12 @@ mod tests {
         assert_eq!(bad[value_tags[1] + 5], b's', "start of \"straße\"");
         bad[value_tags[1] + 5 + 4] = 0xFF;
         assert!(decode_frame(&bad).is_err());
+        // Tag 0 followed by one well-formed tuple: the retired one-tuple
+        // framing is an unknown tag like any other.
+        let mut old = bytes[..16].to_vec();
+        old.push(0);
+        encode_tuple(&mut old, &Tuple::new(vec![Value::Int(1)]));
+        let err = decode_frame(&old).unwrap_err();
+        assert!(err.to_string().contains("unknown message tag 0"), "{err}");
     }
 }

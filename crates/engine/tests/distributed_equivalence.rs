@@ -118,7 +118,7 @@ fn threaded_reference_matches_the_closed_form_oracle() {
 #[test]
 fn distributed_matches_threaded_over_seeds_and_batches() {
     for seed in 0..3u64 {
-        for batch_size in [16usize, 128] {
+        for batch_size in [1usize, 16, 128] {
             let run = RunConfig {
                 batch_size,
                 ..RunConfig::default()
