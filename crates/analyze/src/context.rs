@@ -73,7 +73,7 @@ impl<'a> AnalysisContext<'a> {
     /// diagnostics, not errors, so the analyzer can inspect plans that
     /// `LogicalPlan::validate` rejects. Schemas come from tolerant
     /// whole-plan inference ([`SchemaFlow::infer`]), which substitutes
-    /// best-effort fallbacks where [`LogicalPlan::schemas`] would abort.
+    /// best-effort fallbacks and keeps walking past a broken operator.
     pub fn build(plan: &'a LogicalPlan) -> Result<Self> {
         let topo = plan.topo_order()?;
         let schema_flow = SchemaFlow::infer(plan)?;

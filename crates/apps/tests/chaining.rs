@@ -6,7 +6,7 @@ use pdsp_apps::common::AppConfig;
 use pdsp_apps::registry::{all_applications, app_by_name};
 use pdsp_engine::chaining::fuse;
 use pdsp_engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
+    DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
 };
 use pdsp_engine::physical::PhysicalPlan;
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
@@ -141,7 +141,7 @@ fn chained_ad_equals_unchained_through_exactly_once_recovery() {
             mode: DeliveryMode::ExactlyOnce,
             restart: RestartPolicy {
                 max_restarts: 1,
-                backoff: Backoff::Fixed(Duration::from_millis(1)),
+                backoff: Duration::from_millis(1),
             },
             run: run_config(),
         };

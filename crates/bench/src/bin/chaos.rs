@@ -24,7 +24,7 @@
 
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::distributed::{DistributedConfig, DistributedRuntime, KillSpec};
-use pdsp_engine::fault::{Backoff, DeliveryMode, RestartPolicy};
+use pdsp_engine::fault::{DeliveryMode, RestartPolicy};
 use pdsp_engine::operator::OpKind;
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
 use pdsp_engine::pressure::OverloadConfig;
@@ -328,7 +328,7 @@ fn run_dist_scenario(
     config.ft.checkpoint_interval_tuples = 256;
     config.ft.restart = RestartPolicy {
         max_restarts: 4,
-        backoff: Backoff::Fixed(Duration::from_millis(5)),
+        backoff: Duration::from_millis(5),
     };
 
     match DistributedRuntime::new(config).run(spec) {

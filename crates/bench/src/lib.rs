@@ -1,36 +1,8 @@
 //! # pdsp-bench-benches
 //!
-//! Benchmark entry points: the `figures` binary regenerates every table and
-//! figure of the paper's evaluation, and the Criterion benches (one per
-//! experiment, plus engine microbenchmarks) time the underlying machinery.
-
-use pdsp_bench_core::experiments::ExpScale;
-use pdsp_cluster::SimConfig;
-
-/// A reduced scale for Criterion benches: small but exercising the same
-/// code paths as the full experiments.
-pub fn bench_scale() -> ExpScale {
-    let mut scale = ExpScale::quick();
-    scale.sim = SimConfig {
-        event_rate: 50_000.0,
-        duration_ms: 1_000,
-        batches_per_second: 50.0,
-        ..SimConfig::default()
-    };
-    scale.training_queries = 16;
-    scale.eval_queries = 8;
-    scale.fig6_sizes = vec![8];
-    scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_scale_is_small() {
-        let s = bench_scale();
-        assert!(s.training_queries <= 32);
-        assert!(s.sim.duration_ms <= 2_000);
-    }
-}
+//! Benchmark entry points, one binary each: `figures` regenerates every
+//! table and figure of the paper's evaluation; `bench`, `batching`,
+//! `chaos` and `tracing` are the smoke benchmarks CI runs at reduced
+//! scale, each writing a `BENCH_*.json` report. Per-layer timings of the
+//! engine (operators, plan expansion, schema inference, the wire codec,
+//! the simulator) are measured by the standalone `benchmark/` package.

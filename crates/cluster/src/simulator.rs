@@ -32,10 +32,10 @@ use pdsp_engine::operator::OpKind;
 use pdsp_engine::physical::PhysicalPlan;
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
 use pdsp_engine::window::WindowPolicy;
-use pdsp_metrics::{LatencyRecorder, MeasurementProtocol, RunSummary};
 use pdsp_telemetry::{
-    FlightEvent, FlightEventKind, HistogramSnapshot, InstanceSnapshot, Span, SpanId, SpanKind,
-    TelemetryConfig, TelemetryTimeline, TimelineSample, TraceContext, TraceId,
+    FlightEvent, FlightEventKind, HistogramSnapshot, InstanceSnapshot, LatencyRecorder,
+    MeasurementProtocol, RunSummary, Span, SpanId, SpanKind, TelemetryConfig, TelemetryTimeline,
+    TimelineSample, TraceContext, TraceId,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -581,7 +581,12 @@ impl Simulator {
         };
         let mut recoveries: Vec<RecoveryEvent> = Vec::new();
 
-        let schemas = plan.schemas()?;
+        // Output tuple width per node, from the edge schemas `expand` kept
+        // of the validated plan; a sink has no out-edge and ships nothing.
+        let mut out_width = vec![1; plan.nodes.len()];
+        for (e, schema) in plan.edges.iter().zip(&phys.edge_schemas) {
+            out_width[e.from] = schema.width().max(1);
+        }
         let source_nodes = plan.sources();
         let source_rates = vec![cfg.event_rate; source_nodes.len()];
         let node_rates = rates::propagate(plan, &source_rates)?;
@@ -621,7 +626,7 @@ impl Simulator {
                     state_factor: profile.state_factor,
                     window_residency_ns: residency_ns.min(max_ns),
                     is_udo: matches!(n.kind, OpKind::Udo { .. }),
-                    out_width: schemas[n.id].width().max(1),
+                    out_width: out_width[n.id],
                 }
             })
             .collect();

@@ -10,10 +10,10 @@ use pdsp_engine::physical::PhysicalPlan;
 use pdsp_engine::plan::LogicalPlan;
 use pdsp_engine::runtime::{RunConfig, RunResult, SourceFactory, ThreadedRuntime};
 use pdsp_engine::telemetry_for_plan;
-use pdsp_metrics::{LatencyRecorder, RunSummary};
 use pdsp_store::{Filter, Store};
 use pdsp_telemetry::{
-    new_experiment_id, Sampler, Span, TelemetryConfig, TelemetryTimeline, TraceSet,
+    new_experiment_id, LatencyRecorder, RunSummary, Sampler, Span, TelemetryConfig,
+    TelemetryTimeline, TraceSet,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::{mpsc, Arc};

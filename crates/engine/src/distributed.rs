@@ -136,10 +136,6 @@ pub struct DistributedConfig {
     pub heartbeat_ms: u64,
     /// Coordinator-side lease timeout: a worker silent this long is dead.
     pub lease_timeout_ms: u64,
-    /// Dial-attempt budget for every connection establishment.
-    pub connect_attempts: usize,
-    /// Backoff schedule between dial attempts (decorrelated jitter).
-    pub backoff: BackoffPolicy,
     /// Optional chaos: SIGKILL a worker mid-run on the first attempt.
     pub kill: Option<KillSpec>,
     /// Optional chaos: workers sever their outbound data connections this
@@ -162,8 +158,6 @@ impl Default for DistributedConfig {
             ft: FtConfig::default(),
             heartbeat_ms: 20,
             lease_timeout_ms: 500,
-            connect_attempts: 200,
-            backoff: BackoffPolicy::default(),
             kill: None,
             drop_data_after_ms: None,
             worker_bin: Vec::new(),
@@ -337,8 +331,6 @@ fn dial_remote_targets(
     endpoints: &mut [Option<Sender<Envelope>>],
     peers: &[String],
     frame_cap: usize,
-    backoff: &BackoffPolicy,
-    connect_attempts: usize,
     epoch_ns: u64,
 ) -> Result<(Vec<TcpStream>, Vec<JoinHandle<()>>)> {
     let (mut streams, mut forwarders) = (Vec::new(), Vec::new());
@@ -346,7 +338,7 @@ fn dial_remote_targets(
         let addr = peers.get(w).ok_or_else(|| {
             EngineError::Transport(format!("deploy lists no data address for worker {w}"))
         })?;
-        let mut stream = connect_with_backoff(addr, backoff, connect_attempts)
+        let mut stream = connect_with_backoff(addr, &BackoffPolicy::default(), CONNECT_ATTEMPTS)
             .map_err(|e| io_err(&format!("dial worker {w} at {addr}"), e))?;
         streams.push(
             stream
@@ -596,9 +588,11 @@ fn record_wire_spans(
 /// process exit (and ultimately the coordinator's kill-all) for teardown.
 pub struct WorkerMain {
     resolver: SpecResolver,
-    backoff: BackoffPolicy,
-    connect_attempts: usize,
 }
+
+/// Dial-attempt budget for every connection a worker opens; the attempts
+/// are spaced by the default decorrelated-jitter [`BackoffPolicy`].
+const CONNECT_ATTEMPTS: usize = 200;
 
 impl Default for WorkerMain {
     fn default() -> Self {
@@ -607,13 +601,9 @@ impl Default for WorkerMain {
 }
 
 impl WorkerMain {
-    /// Worker with the given spec resolver and default dial policy.
+    /// Worker with the given spec resolver.
     pub fn new(resolver: SpecResolver) -> Self {
-        WorkerMain {
-            resolver,
-            backoff: BackoffPolicy::default(),
-            connect_attempts: 200,
-        }
+        WorkerMain { resolver }
     }
 
     /// Dial the coordinator, run one deployment to completion (or failure),
@@ -625,8 +615,9 @@ impl WorkerMain {
             .local_addr()
             .map_err(|e| io_err("data listener addr", e))?
             .to_string();
-        let control = connect_with_backoff(coordinator, &self.backoff, self.connect_attempts)
-            .map_err(|e| io_err("dial coordinator", e))?;
+        let control =
+            connect_with_backoff(coordinator, &BackoffPolicy::default(), CONNECT_ATTEMPTS)
+                .map_err(|e| io_err("dial coordinator", e))?;
         let mut reader = control
             .try_clone()
             .map_err(|e| io_err("clone control stream", e))?;
@@ -709,8 +700,6 @@ impl WorkerMain {
             &mut endpoints,
             &deploy.peers,
             frame_cap,
-            &self.backoff,
-            self.connect_attempts,
             deploy.epoch_ns,
         )?;
         let transport = SenderTable {
@@ -1626,8 +1615,6 @@ mod tests {
             &mut vec![None; n],
             &["127.0.0.1:9".to_string()],
             4,
-            &BackoffPolicy::default(),
-            1,
             0,
         );
         assert!(matches!(res.err(), Some(EngineError::Transport(_))));

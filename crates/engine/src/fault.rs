@@ -51,8 +51,6 @@ pub enum FaultTrigger {
     /// After the target instance has processed this many tuples (counted
     /// per attempt, so a restarted instance is not re-killed).
     AfterTuples(u64),
-    /// After this much wall-clock time since the injector was armed.
-    AfterMillis(u64),
 }
 
 /// How the fault manifests.
@@ -70,7 +68,6 @@ struct InjectorInner {
     trigger: FaultTrigger,
     style: FaultStyle,
     fired: AtomicBool,
-    armed_at: Instant,
 }
 
 /// Kills one operator instance once, at a configurable point. Cloneable;
@@ -90,7 +87,6 @@ impl FaultInjector {
                 trigger,
                 style,
                 fired: AtomicBool::new(false),
-                armed_at: Instant::now(),
             }),
         }
     }
@@ -101,16 +97,6 @@ impl FaultInjector {
             node,
             instance,
             FaultTrigger::AfterTuples(tuples),
-            FaultStyle::Error,
-        )
-    }
-
-    /// Kill `ms` milliseconds after arming (error style).
-    pub fn after_millis(node: usize, instance: usize, ms: u64) -> Self {
-        FaultInjector::new(
-            node,
-            instance,
-            FaultTrigger::AfterMillis(ms),
             FaultStyle::Error,
         )
     }
@@ -139,7 +125,6 @@ impl FaultInjector {
         }
         let due = match i.trigger {
             FaultTrigger::AfterTuples(n) => tuples_seen >= n,
-            FaultTrigger::AfterMillis(ms) => i.armed_at.elapsed() >= Duration::from_millis(ms),
         };
         if due && !i.fired.swap(true, Ordering::SeqCst) {
             match i.style {
@@ -167,54 +152,21 @@ pub enum DeliveryMode {
     ExactlyOnce,
 }
 
-/// Backoff between restart attempts.
-#[derive(Debug, Clone, Copy)]
-pub enum Backoff {
-    /// The same delay before every restart.
-    Fixed(Duration),
-    /// `initial * factor^restart`, capped at `max`.
-    Exponential {
-        /// Delay before the first restart.
-        initial: Duration,
-        /// Multiplier per successive restart.
-        factor: f64,
-        /// Upper bound on the delay.
-        max: Duration,
-    },
-}
-
 /// How many times, and how eagerly, the supervisor restarts a failed job.
 #[derive(Debug, Clone, Copy)]
 pub struct RestartPolicy {
     /// Maximum restarts before the job error is surfaced (Flink's
     /// fixed-delay restart strategy).
     pub max_restarts: usize,
-    /// Delay schedule between failure detection and respawn.
-    pub backoff: Backoff,
+    /// Delay between failure detection and respawn.
+    pub backoff: Duration,
 }
 
 impl Default for RestartPolicy {
     fn default() -> Self {
         RestartPolicy {
             max_restarts: 3,
-            backoff: Backoff::Fixed(Duration::from_millis(10)),
-        }
-    }
-}
-
-impl RestartPolicy {
-    /// Delay before restart number `restart` (0-based).
-    pub fn delay(&self, restart: usize) -> Duration {
-        match self.backoff {
-            Backoff::Fixed(d) => d,
-            Backoff::Exponential {
-                initial,
-                factor,
-                max,
-            } => {
-                let scaled = initial.as_secs_f64() * factor.max(1.0).powi(restart as i32);
-                Duration::from_secs_f64(scaled.min(max.as_secs_f64()))
-            }
+            backoff: Duration::from_millis(10),
         }
     }
 }
@@ -483,7 +435,7 @@ pub(crate) fn supervise(
                 None => format!("cold restart (no complete checkpoint): {root}"),
             },
         );
-        std::thread::sleep(policy.delay(restarts_used));
+        std::thread::sleep(policy.backoff);
         let recovery_ms = detected.elapsed().as_secs_f64() * 1e3;
         ledger.stats.recovery_times_ms.push(recovery_ms);
         record(
@@ -603,27 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedules() {
-        let fixed = RestartPolicy {
-            max_restarts: 3,
-            backoff: Backoff::Fixed(Duration::from_millis(7)),
-        };
-        assert_eq!(fixed.delay(0), Duration::from_millis(7));
-        assert_eq!(fixed.delay(5), Duration::from_millis(7));
-        let exp = RestartPolicy {
-            max_restarts: 3,
-            backoff: Backoff::Exponential {
-                initial: Duration::from_millis(10),
-                factor: 2.0,
-                max: Duration::from_millis(25),
-            },
-        };
-        assert_eq!(exp.delay(0), Duration::from_millis(10));
-        assert_eq!(exp.delay(1), Duration::from_millis(20));
-        assert_eq!(exp.delay(2), Duration::from_millis(25), "capped");
-    }
-
-    #[test]
     fn ft_config_validation() {
         let mut cfg = FtConfig::default();
         assert!(cfg.validate().is_ok());
@@ -699,7 +630,7 @@ mod tests {
         let run = |max_restarts| {
             let policy = RestartPolicy {
                 max_restarts,
-                backoff: Backoff::Fixed(Duration::ZERO),
+                backoff: Duration::ZERO,
             };
             let mode = DeliveryMode::ExactlyOnce;
             supervise(&plan, mode, &policy, 10_000, Instant::now(), None, script)

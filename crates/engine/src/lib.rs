@@ -60,8 +60,8 @@ pub use distributed::{DistributedConfig, DistributedRuntime, WorkerMain};
 pub use error::{EngineError, Result};
 pub use expr::{CmpOp, Predicate, ScalarExpr};
 pub use fault::{
-    Backoff, DeliveryMode, FaultInjector, FaultStyle, FaultTrigger, FtConfig, FtRunResult,
-    FtRuntime, RecoveryStats, RestartPolicy,
+    DeliveryMode, FaultInjector, FaultStyle, FaultTrigger, FtConfig, FtRunResult, FtRuntime,
+    RecoveryStats, RestartPolicy,
 };
 pub use operator::OpKind;
 pub use physical::PhysicalPlan;

@@ -12,7 +12,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::{Predicate, ScalarExpr};
 use crate::state::JoinState;
 use crate::udo::{CostProfile, UdoRef};
-use crate::value::{FieldType, Schema, Tuple, Value};
+use crate::value::{Schema, Tuple, Value};
 use crate::window::{KeyedWindower, WindowSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -202,98 +202,6 @@ impl OpKind {
             } => Some(1),
             OpKind::Udo { factory } if factory.properties().requires_global_view => Some(1),
             _ => None,
-        }
-    }
-
-    /// Output schema given input schemas (one per port).
-    pub fn output_schema(&self, inputs: &[Schema]) -> Result<Schema> {
-        match self {
-            OpKind::Source { schema } => Ok(schema.clone()),
-            OpKind::Filter { .. } | OpKind::Union => inputs
-                .first()
-                .cloned()
-                .ok_or_else(|| EngineError::InvalidPlan("operator has no input".into())),
-            OpKind::Map { exprs } => {
-                let input = inputs
-                    .first()
-                    .ok_or_else(|| EngineError::InvalidPlan("map has no input".into()))?;
-                for e in exprs {
-                    if let Some(max) = e.max_field() {
-                        if max >= input.width() {
-                            return Err(EngineError::FieldOutOfBounds {
-                                index: max,
-                                width: input.width(),
-                            });
-                        }
-                    }
-                }
-                // Expression output types are dynamic; report Double for
-                // arithmetic, original type for field refs.
-                let fields = exprs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| {
-                        let ty = match e {
-                            ScalarExpr::Field(idx) => input.fields[*idx].ty,
-                            ScalarExpr::Literal(v) => v.field_type(),
-                            _ => FieldType::Double,
-                        };
-                        crate::value::Field::new(format!("m{i}"), ty)
-                    })
-                    .collect();
-                Ok(Schema::new(fields))
-            }
-            OpKind::FlatMapSplit { field } => {
-                let input = inputs
-                    .first()
-                    .ok_or_else(|| EngineError::InvalidPlan("flatmap has no input".into()))?;
-                if *field >= input.width() {
-                    return Err(EngineError::FieldOutOfBounds {
-                        index: *field,
-                        width: input.width(),
-                    });
-                }
-                Ok(Schema::of(&[FieldType::Str]))
-            }
-            OpKind::WindowAggregate { key_field, .. } | OpKind::SessionWindow { key_field, .. } => {
-                let input = inputs
-                    .first()
-                    .ok_or_else(|| EngineError::InvalidPlan("window agg has no input".into()))?;
-                let mut fields = Vec::new();
-                if let Some(k) = key_field {
-                    if *k >= input.width() {
-                        return Err(EngineError::FieldOutOfBounds {
-                            index: *k,
-                            width: input.width(),
-                        });
-                    }
-                    fields.push(crate::value::Field::new("key", input.fields[*k].ty));
-                }
-                fields.push(crate::value::Field::new("window_end", FieldType::Timestamp));
-                fields.push(crate::value::Field::new("agg", FieldType::Double));
-                Ok(Schema::new(fields))
-            }
-            OpKind::Join { .. } => {
-                if inputs.len() != 2 {
-                    return Err(EngineError::InvalidPlan(format!(
-                        "join needs 2 inputs, got {}",
-                        inputs.len()
-                    )));
-                }
-                let mut fields = inputs[0].fields.clone();
-                fields.extend(inputs[1].fields.iter().cloned());
-                Ok(Schema::new(fields))
-            }
-            OpKind::Udo { factory } => {
-                let input = inputs
-                    .first()
-                    .ok_or_else(|| EngineError::InvalidPlan("udo has no input".into()))?;
-                Ok(factory.output_schema(input))
-            }
-            OpKind::Sink => inputs
-                .first()
-                .cloned()
-                .ok_or_else(|| EngineError::InvalidPlan("sink has no input".into())),
         }
     }
 
@@ -811,53 +719,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].values[0], Value::Int(1));
         assert_eq!(out[0].values[2], Value::Double(30.0));
-    }
-
-    #[test]
-    fn join_output_schema_concatenates() {
-        let kind = OpKind::Join {
-            window: WindowSpec::tumbling_time(100),
-            left_key: 0,
-            right_key: 0,
-        };
-        let left = Schema::of(&[FieldType::Int, FieldType::Str]);
-        let right = Schema::of(&[FieldType::Int, FieldType::Double]);
-        let out = kind.output_schema(&[left, right]).unwrap();
-        assert_eq!(out.width(), 4);
-    }
-
-    #[test]
-    fn window_agg_output_schema_keyed_vs_global() {
-        let input = Schema::of(&[FieldType::Str, FieldType::Double]);
-        let keyed = OpKind::WindowAggregate {
-            window: WindowSpec::tumbling_count(5),
-            func: AggFunc::Avg,
-            agg_field: 1,
-            key_field: Some(0),
-        };
-        assert_eq!(
-            keyed
-                .output_schema(std::slice::from_ref(&input))
-                .unwrap()
-                .width(),
-            3
-        );
-        let global = OpKind::WindowAggregate {
-            window: WindowSpec::tumbling_count(5),
-            func: AggFunc::Avg,
-            agg_field: 1,
-            key_field: None,
-        };
-        assert_eq!(global.output_schema(&[input]).unwrap().width(), 2);
-    }
-
-    #[test]
-    fn map_schema_rejects_out_of_bounds() {
-        let kind = OpKind::Map {
-            exprs: vec![ScalarExpr::Field(5)],
-        };
-        let input = Schema::of(&[FieldType::Int]);
-        assert!(kind.output_schema(&[input]).is_err());
     }
 
     #[test]

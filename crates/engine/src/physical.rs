@@ -95,7 +95,7 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Expand a validated logical plan.
     pub fn expand(logical: &LogicalPlan) -> Result<Self> {
-        logical.validate()?;
+        let edge_schemas = logical.validate()?.edge;
         let mut instances = Vec::new();
         let mut node_instances = vec![Vec::new(); logical.nodes.len()];
         for node in &logical.nodes {
@@ -225,11 +225,6 @@ impl PhysicalPlan {
                 }
             }
         }
-
-        // Persist per-edge schemas from whole-plan inference. `validate()`
-        // passed above, so inference can only fail on a cycle — which
-        // validate already rejects.
-        let edge_schemas = crate::schema_flow::SchemaFlow::infer(logical)?.edge;
 
         Ok(PhysicalPlan {
             logical: logical.clone(),

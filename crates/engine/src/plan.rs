@@ -2,7 +2,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::operator::{OpDescriptor, OpKind};
-use crate::value::Schema;
+use crate::schema_flow::{IssueAt, SchemaFlow};
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a node within one plan (dense, index into `nodes`).
@@ -162,32 +162,14 @@ impl LogicalPlan {
         Ok(order)
     }
 
-    /// Resolved output schema of every node (topo-order propagation).
-    pub fn schemas(&self) -> Result<Vec<Schema>> {
-        let order = self.topo_order()?;
-        let mut schemas: Vec<Option<Schema>> = vec![None; self.nodes.len()];
-        for id in order {
-            let in_edges = self.in_edges(id);
-            let inputs: Vec<Schema> = in_edges
-                .iter()
-                .map(|e| {
-                    schemas[e.from]
-                        .clone()
-                        .ok_or_else(|| EngineError::InvalidPlan("schema not resolved".into()))
-                })
-                .collect::<Result<_>>()?;
-            schemas[id] = Some(self.nodes[id].kind.output_schema(&inputs)?);
-        }
-        schemas
-            .into_iter()
-            .map(|s| s.ok_or_else(|| EngineError::InvalidPlan("unresolved schema".into())))
-            .collect()
-    }
-
-    /// Validate the plan: DAG shape, source/sink presence, parallelism,
-    /// forward-edge compatibility, hash-key bounds, join arity, schema
-    /// propagation.
-    pub fn validate(&self) -> Result<()> {
+    /// Validate the plan and return its schema inference: DAG shape,
+    /// source/sink presence, parallelism, join/union arity, forward-edge
+    /// compatibility and keyed partitioning first, then the first
+    /// full-severity field read past its schema that [`SchemaFlow::infer`]
+    /// found — [`EngineError::InvalidKeyField`] on a hash-partitioned edge,
+    /// [`EngineError::FieldOutOfBounds`] in an operator. Type mismatches
+    /// and other error-class issues stay deploy-gate findings.
+    pub fn validate(&self) -> Result<SchemaFlow> {
         if self.sources().is_empty() {
             return Err(EngineError::NoSource);
         }
@@ -201,35 +183,35 @@ impl LogicalPlan {
         }
         self.topo_order()?;
         self.validate_arity()?;
-        let schemas = self.schemas()?;
         for e in &self.edges {
             let (from, to) = (&self.nodes[e.from], &self.nodes[e.to]);
-            match &e.partitioning {
-                Partitioning::Forward if from.parallelism != to.parallelism => {
-                    return Err(EngineError::ForwardParallelismMismatch {
-                        from: from.name.clone(),
-                        to: to.name.clone(),
-                        from_parallelism: from.parallelism,
-                        to_parallelism: to.parallelism,
-                    });
-                }
-                Partitioning::Hash(fields) => {
-                    let width = schemas[e.from].width();
-                    for &f in fields {
-                        if f >= width {
-                            return Err(EngineError::InvalidKeyField {
-                                operator: from.name.clone(),
-                                field: f,
-                                schema_width: width,
-                            });
-                        }
-                    }
-                }
-                _ => {}
+            if e.partitioning == Partitioning::Forward && from.parallelism != to.parallelism {
+                return Err(EngineError::ForwardParallelismMismatch {
+                    from: from.name.clone(),
+                    to: to.name.clone(),
+                    from_parallelism: from.parallelism,
+                    to_parallelism: to.parallelism,
+                });
             }
         }
         self.validate_keyed_partitioning()?;
-        Ok(())
+        let flow = SchemaFlow::infer(self)?;
+        let out_of_bounds = flow
+            .issues
+            .iter()
+            .filter(|i| !i.downgraded)
+            .find_map(|i| Some((i.at, i.out_of_bounds?)));
+        match out_of_bounds {
+            Some((IssueAt::Edge(e), (field, schema_width))) => Err(EngineError::InvalidKeyField {
+                operator: self.nodes[self.edges[e].from].name.clone(),
+                field,
+                schema_width,
+            }),
+            Some((IssueAt::Node(_), (index, width))) => {
+                Err(EngineError::FieldOutOfBounds { index, width })
+            }
+            None => Ok(flow),
+        }
     }
 
     /// Hard key-flow checks: a keyed operator running at parallelism > 1
@@ -296,7 +278,7 @@ impl LogicalPlan {
         Ok(())
     }
 
-    /// Per-node input/output arity checks (run before schema propagation so
+    /// Per-node input/output arity checks (run before schema inference so
     /// arity errors surface with their specific variant).
     fn validate_arity(&self) -> Result<()> {
         for node in &self.nodes {
@@ -423,7 +405,7 @@ impl PlanDescriptor {
 mod tests {
     use super::*;
     use crate::expr::{CmpOp, Predicate};
-    use crate::value::{FieldType, Value};
+    use crate::value::{FieldType, Schema, Value};
 
     fn linear_plan() -> LogicalPlan {
         let mut p = LogicalPlan::default();
@@ -506,10 +488,14 @@ mod tests {
     fn hash_key_out_of_bounds_rejected() {
         let mut p = linear_plan();
         p.edges[0].partitioning = Partitioning::Hash(vec![9]);
-        assert!(matches!(
+        assert_eq!(
             p.validate().unwrap_err(),
-            EngineError::InvalidKeyField { .. }
-        ));
+            EngineError::InvalidKeyField {
+                operator: "src".into(),
+                field: 9,
+                schema_width: 1,
+            }
+        );
     }
 
     #[test]
@@ -556,9 +542,63 @@ mod tests {
     #[test]
     fn schemas_propagate() {
         let p = linear_plan();
-        let schemas = p.schemas().unwrap();
+        let schemas = p.validate().unwrap().node_output;
         assert_eq!(schemas[1].width(), 1);
         assert_eq!(schemas[2].width(), 1);
+    }
+
+    #[test]
+    fn field_reads_past_the_schema_rejected() {
+        // A window's aggregated field and a filter's field past the
+        // one-field source schema.
+        let mut agg = linear_plan();
+        agg.nodes[1].kind = OpKind::WindowAggregate {
+            window: crate::window::WindowSpec::tumbling_count(10),
+            func: crate::agg::AggFunc::Sum,
+            agg_field: 3,
+            key_field: None,
+        };
+        agg.nodes[1].parallelism = 1;
+        let mut filter = linear_plan();
+        filter.nodes[1].kind = OpKind::Filter {
+            predicate: Predicate::cmp(2, CmpOp::Gt, Value::Int(0)),
+            selectivity: 0.5,
+        };
+        // A join's right key past its two-field right input.
+        let mut join = LogicalPlan::default();
+        let s1 = join.add_node(
+            "s1",
+            OpKind::Source {
+                schema: Schema::of(&[FieldType::Int]),
+            },
+            1,
+        );
+        let s2 = join.add_node(
+            "s2",
+            OpKind::Source {
+                schema: Schema::of(&[FieldType::Int, FieldType::Int]),
+            },
+            1,
+        );
+        let j = join.add_node(
+            "join",
+            OpKind::Join {
+                window: crate::window::WindowSpec::tumbling_time(100),
+                left_key: 0,
+                right_key: 4,
+            },
+            1,
+        );
+        let sink = join.add_node("sink", OpKind::Sink, 1);
+        join.connect_port(s1, j, 0, Partitioning::Rebalance);
+        join.connect_port(s2, j, 1, Partitioning::Rebalance);
+        join.connect(j, sink, Partitioning::Rebalance);
+        for (plan, index, width) in [(agg, 3, 1), (filter, 2, 1), (join, 4, 2)] {
+            assert_eq!(
+                plan.validate().unwrap_err(),
+                EngineError::FieldOutOfBounds { index, width }
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::{run_local_attempt, ExecSettings};
-use crate::fault::{supervise, Backoff, DeliveryMode, RestartPolicy};
+use crate::fault::{supervise, DeliveryMode, RestartPolicy};
 use crate::message::Message;
 use crate::physical::PhysicalPlan;
 use crate::pressure::OverloadConfig;
@@ -302,7 +302,7 @@ impl ThreadedRuntime {
         };
         let once = RestartPolicy {
             max_restarts: 0,
-            backoff: Backoff::Fixed(Duration::ZERO),
+            backoff: Duration::ZERO,
         };
         let run = supervise(
             plan,

@@ -5,21 +5,22 @@
 //! function from its input schemas to its output schema, every edge gets
 //! the schema of the stream crossing it, and every way the plan can
 //! violate its own typing is recorded as a [`SchemaIssue`] instead of an
-//! error. Unlike [`LogicalPlan::schemas`], which fails hard on the first
-//! unresolvable operator, inference is *tolerant*: it substitutes
-//! best-effort fallbacks and keeps walking, so a single typo'd field index
-//! yields one precise issue rather than an opaque analysis abort.
+//! error. Inference is *tolerant*: it substitutes best-effort fallbacks
+//! and keeps walking, so a single typo'd field index yields one precise
+//! issue rather than an opaque abort.
 //!
-//! Three consumers share this module as their single source of truth:
+//! This is the engine's only schema inference. Its consumers:
 //!
+//! * [`LogicalPlan::validate`] refuses the first full-severity
+//!   [`IssueKind::UnknownField`] (a field read past its schema fails
+//!   inside a worker otherwise) and returns the flow it checked;
 //! * `pdsp-analyze`'s type-flow pass maps issues onto stable `PB06x`
 //!   diagnostic codes (and the deploy gate refuses plans whose issues are
 //!   error-class);
 //! * [`crate::physical::PhysicalPlan::expand`] persists the per-edge
-//!   schemas so the distributed wire layer can validate frames against
-//!   them (`RunConfig::check_schemas`);
-//! * the future columnar data plane will consult the same edge schemas to
-//!   pick typed column layouts.
+//!   schemas of that validated flow so the distributed wire layer can
+//!   validate frames against them (`RunConfig::check_schemas`), and the
+//!   simulator sizes each operator's output tuples from them.
 //!
 //! UDOs are closed boxes; their factories bridge inference via
 //! [`UdoFactory::output_schema`](crate::udo::UdoFactory::output_schema)
@@ -116,6 +117,9 @@ pub struct SchemaIssue {
     pub at: IssueAt,
     /// Human-readable description naming fields and types.
     pub message: String,
+    /// `(index, width)` of a field read past its schema; `Some` exactly
+    /// for [`IssueKind::UnknownField`].
+    pub out_of_bounds: Option<(usize, usize)>,
     /// The issue sits downstream of an `Opaque` UDO: its premise is an
     /// unverified schema claim, so consumers report it as a hint.
     pub downgraded: bool,
@@ -144,6 +148,26 @@ fn is_stringy(ty: FieldType) -> bool {
     ty == FieldType::Str
 }
 
+/// An [`IssueKind::UnknownField`] issue: `reader` reads field `index` of
+/// an input schema `width` fields wide.
+fn unknown_field(
+    at: IssueAt,
+    reader: &str,
+    index: usize,
+    width: usize,
+    downgraded: bool,
+) -> SchemaIssue {
+    SchemaIssue {
+        kind: IssueKind::UnknownField,
+        at,
+        message: format!(
+            "{reader} reads field {index} but the input schema has only {width} field(s)"
+        ),
+        out_of_bounds: Some((index, width)),
+        downgraded,
+    }
+}
+
 /// Static result type of a scalar expression over `input`, plus any typing
 /// issues it raises (out-of-bounds field refs, string arithmetic).
 fn expr_type(
@@ -157,15 +181,13 @@ fn expr_type(
         ScalarExpr::Field(i) => match input.fields.get(*i) {
             Some(f) => f.ty,
             None => {
-                issues.push(SchemaIssue {
-                    kind: IssueKind::UnknownField,
-                    at: IssueAt::Node(node),
-                    message: format!(
-                        "expression reads field {i} but the input schema has only {} field(s)",
-                        input.width()
-                    ),
+                issues.push(unknown_field(
+                    IssueAt::Node(node),
+                    "expression",
+                    *i,
+                    input.width(),
                     downgraded,
-                });
+                ));
                 FieldType::Double
             }
         },
@@ -181,6 +203,7 @@ fn expr_type(
                         kind: IssueKind::TypeMismatch,
                         at: IssueAt::Node(node),
                         message: "arithmetic over a string operand always fails at runtime".into(),
+                        out_of_bounds: None,
                         downgraded,
                     });
                 }
@@ -202,15 +225,13 @@ fn check_predicate(
     match pred {
         Predicate::True => {}
         Predicate::Compare { field, op, literal } => match input.fields.get(*field) {
-            None => issues.push(SchemaIssue {
-                kind: IssueKind::UnknownField,
-                at: IssueAt::Node(node),
-                message: format!(
-                    "predicate reads field {field} but the input schema has only {} field(s)",
-                    input.width()
-                ),
+            None => issues.push(unknown_field(
+                IssueAt::Node(node),
+                "predicate",
+                *field,
+                input.width(),
                 downgraded,
-            }),
+            )),
             Some(f) if is_stringy(f.ty) != is_stringy(literal.field_type()) => {
                 let outcome = if *op == CmpOp::Ne {
                     "always true"
@@ -227,6 +248,7 @@ fn check_predicate(
                         f.name,
                         literal.field_type()
                     ),
+                    out_of_bounds: None,
                     downgraded,
                 });
             }
@@ -253,15 +275,7 @@ fn check_key_field(
 ) -> Option<FieldType> {
     match input.fields.get(idx) {
         None => {
-            issues.push(SchemaIssue {
-                kind: IssueKind::UnknownField,
-                at,
-                message: format!(
-                    "{role} references field {idx} but the schema has only {} field(s)",
-                    input.width()
-                ),
-                downgraded,
-            });
+            issues.push(unknown_field(at, role, idx, input.width(), downgraded));
             None
         }
         Some(f) => {
@@ -274,6 +288,7 @@ fn check_key_field(
                          0.0/-0.0 hash apart, so grouping is unreliable",
                         f.name
                     ),
+                    out_of_bounds: None,
                     downgraded,
                 });
             }
@@ -334,16 +349,13 @@ impl SchemaFlow {
                 }
                 OpKind::FlatMapSplit { field } => {
                     match first.fields.get(*field) {
-                        None => issues.push(SchemaIssue {
-                            kind: IssueKind::UnknownField,
-                            at: IssueAt::Node(id),
-                            message: format!(
-                                "split reads field {field} but the input schema has only {} \
-                                 field(s)",
-                                first.width()
-                            ),
-                            downgraded: dg,
-                        }),
+                        None => issues.push(unknown_field(
+                            IssueAt::Node(id),
+                            "split",
+                            *field,
+                            first.width(),
+                            dg,
+                        )),
                         Some(f) if f.ty != FieldType::Str => issues.push(SchemaIssue {
                             kind: IssueKind::TypeMismatch,
                             at: IssueAt::Node(id),
@@ -352,6 +364,7 @@ impl SchemaFlow {
                                  tuples at all",
                                 f.ty, f.name
                             ),
+                            out_of_bounds: None,
                             downgraded: dg,
                         }),
                         Some(_) => {}
@@ -421,6 +434,7 @@ impl SchemaFlow {
                                     "equi-join compares {lt} against {rt}: cross-class keys \
                                      never match, the join emits nothing"
                                 ),
+                                out_of_bounds: None,
                                 downgraded: dg,
                             });
                         }
@@ -447,6 +461,7 @@ impl SchemaFlow {
                                     ins[0].0,
                                     render(&first)
                                 ),
+                                out_of_bounds: None,
                                 downgraded: dg,
                             });
                         }
@@ -466,7 +481,6 @@ impl SchemaFlow {
                         );
                     }
                     match props.schema_policy {
-                        SchemaPolicy::Same => first,
                         SchemaPolicy::Declared => factory.output_schema(&first),
                         SchemaPolicy::Opaque => {
                             issues.push(SchemaIssue {
@@ -478,6 +492,7 @@ impl SchemaFlow {
                                      downgraded to hints",
                                     factory.name()
                                 ),
+                                out_of_bounds: None,
                                 downgraded: false,
                             });
                             tainted[id] = true;
@@ -545,15 +560,13 @@ fn check_aggregate(
     downgraded: bool,
 ) {
     match input.fields.get(agg_field) {
-        None => issues.push(SchemaIssue {
-            kind: IssueKind::UnknownField,
-            at: IssueAt::Node(node),
-            message: format!(
-                "aggregate reads field {agg_field} but the input schema has only {} field(s)",
-                input.width()
-            ),
+        None => issues.push(unknown_field(
+            IssueAt::Node(node),
+            "aggregate",
+            agg_field,
+            input.width(),
             downgraded,
-        }),
+        )),
         Some(f) if is_stringy(f.ty) && func != crate::agg::AggFunc::Count => {
             issues.push(SchemaIssue {
                 kind: IssueKind::NonNumericAggregate,
@@ -563,6 +576,7 @@ fn check_aggregate(
                      producing numbers that look valid but mean nothing",
                     f.name
                 ),
+                out_of_bounds: None,
                 downgraded,
             });
         }
@@ -575,6 +589,7 @@ fn check_aggregate(
             message: "time-based window over a stream with no timestamp field: event time rides \
                       only on out-of-band tuple metadata"
                 .into(),
+            out_of_bounds: None,
             downgraded,
         });
     }
@@ -620,7 +635,7 @@ fn render(s: &Schema) -> String {
 mod tests {
     use super::*;
     use crate::agg::AggFunc;
-    use crate::udo::{CostProfile, FnUdo, Udo, UdoFactory, UdoProperties};
+    use crate::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
     use crate::value::{Tuple, Value};
     use crate::window::WindowSpec;
     use crate::PlanBuilder;
@@ -653,6 +668,54 @@ mod tests {
         // Edge into the sink carries [key, window_end, agg].
         assert_eq!(flow.edge[1].width(), 3);
         assert_eq!(flow.edge[1].fields[1].ty, FieldType::Timestamp);
+
+        // A global window drops the key column: [window_end, agg].
+        let global = PlanBuilder::new()
+            .source(
+                "s",
+                named(&[("word", FieldType::Str), ("v", FieldType::Double)]),
+                1,
+            )
+            .window_agg_global("agg", WindowSpec::tumbling_count(5), AggFunc::Avg, 1)
+            .sink("k")
+            .build()
+            .unwrap();
+        assert_eq!(
+            SchemaFlow::infer(&global).unwrap().node_output[1].width(),
+            2
+        );
+
+        // A join concatenates its left and right inputs.
+        let mut b = PlanBuilder::new();
+        let left = b.add_node(
+            "l",
+            OpKind::Source {
+                schema: Schema::of(&[FieldType::Int, FieldType::Str]),
+            },
+            1,
+        );
+        let right = b.add_node(
+            "r",
+            OpKind::Source {
+                schema: Schema::of(&[FieldType::Int, FieldType::Double]),
+            },
+            1,
+        );
+        let join = b.add_node(
+            "j",
+            OpKind::Join {
+                window: WindowSpec::tumbling_time(100),
+                left_key: 0,
+                right_key: 0,
+            },
+            1,
+        );
+        let sink = b.add_node("k", OpKind::Sink, 1);
+        b.add_edge(left, join, 0, Partitioning::Hash(vec![0]));
+        b.add_edge(right, join, 1, Partitioning::Hash(vec![0]));
+        b.add_edge(join, sink, 0, Partitioning::Rebalance);
+        let flow = SchemaFlow::infer(&b.build().unwrap()).unwrap();
+        assert_eq!(flow.node_output[join].width(), 4);
     }
 
     #[test]
@@ -668,6 +731,17 @@ mod tests {
             .iter()
             .any(|i| i.kind == IssueKind::UnknownField));
         assert!(!flow.is_clean());
+
+        // So is a map expression reading past the schema.
+        let plan = PlanBuilder::new()
+            .source("s", named(&[("id", FieldType::Int)]), 1)
+            .map("m", vec![ScalarExpr::Field(5)])
+            .sink("k")
+            .build_unchecked();
+        let flow = SchemaFlow::infer(&plan).unwrap();
+        let issue = &flow.issues[0];
+        assert_eq!(issue.kind, IssueKind::UnknownField);
+        assert_eq!(issue.out_of_bounds, Some((5, 1)));
     }
 
     #[test]
@@ -793,46 +867,6 @@ mod tests {
         assert!(unknown.downgraded, "downstream finding is downgraded");
         assert!(flow.is_clean(), "downgraded errors don't fail the plan");
         assert!(flow.tainted[2] && flow.tainted[3]);
-    }
-
-    #[test]
-    fn same_policy_overrides_declared_schema() {
-        let udo = FnUdo::new(
-            "pass",
-            CostProfile::stateless(10.0, 1.0),
-            // Deliberately wrong declaration; Same policy must ignore it.
-            |_s: &Schema| Schema::of(&[FieldType::Bool]),
-            |t: Tuple, out: &mut Vec<Tuple>| out.push(t),
-        );
-        struct SameWrap(std::sync::Arc<dyn UdoFactory>);
-        impl UdoFactory for SameWrap {
-            fn name(&self) -> &str {
-                self.0.name()
-            }
-            fn create(&self) -> Box<dyn Udo> {
-                self.0.create()
-            }
-            fn cost_profile(&self) -> CostProfile {
-                self.0.cost_profile()
-            }
-            fn output_schema(&self, input: &Schema) -> Schema {
-                self.0.output_schema(input)
-            }
-            fn properties(&self) -> UdoProperties {
-                UdoProperties {
-                    schema_policy: SchemaPolicy::Same,
-                    ..UdoProperties::default()
-                }
-            }
-        }
-        let plan = PlanBuilder::new()
-            .source("s", named(&[("id", FieldType::Int)]), 1)
-            .udo("u", std::sync::Arc::new(SameWrap(udo)))
-            .sink("k")
-            .build()
-            .unwrap();
-        let flow = SchemaFlow::infer(&plan).unwrap();
-        assert_eq!(flow.node_output[1], named(&[("id", FieldType::Int)]));
     }
 
     #[test]

@@ -57,19 +57,17 @@ impl CostProfile {
 ///
 /// Inference cannot look inside a UDO closure, so the factory's schema
 /// declaration is the only bridge across it. The policy states how firm
-/// that bridge is: `Declared` is a verified contract, `Same` pins the UDO
-/// to a pass-through shape, and `Opaque` is the escape hatch for operators
-/// whose output layout genuinely depends on runtime data — inference keeps
-/// going with the claimed schema, but every downstream schema finding is
-/// downgraded to a hint because its premise is unverified.
+/// that bridge is: `Declared` is a verified contract (a pass-through UDO
+/// declares it by returning its input schema), and `Opaque` is the escape
+/// hatch for operators whose output layout genuinely depends on runtime
+/// data — inference keeps going with the claimed schema, but every
+/// downstream schema finding is downgraded to a hint because its premise
+/// is unverified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SchemaPolicy {
     /// `output_schema` is a verified contract: inference trusts it fully
     /// and downstream findings keep their full severity.
     Declared,
-    /// The UDO emits tuples in exactly its input layout; inference uses
-    /// the input schema and ignores `output_schema`.
-    Same,
     /// `output_schema` is a best-effort claim. Inference continues with it
     /// but marks everything downstream as tainted, downgrading later
     /// schema findings to hints.

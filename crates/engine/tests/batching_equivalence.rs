@@ -14,9 +14,7 @@
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::chaining::fuse;
 use pdsp_engine::expr::{CmpOp, Predicate, ScalarExpr};
-use pdsp_engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy,
-};
+use pdsp_engine::fault::{DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy};
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
 use pdsp_engine::runtime::{RunConfig, SourceFactory, ThreadedRuntime, VecSource};
 use pdsp_engine::window::WindowSpec;
@@ -241,7 +239,7 @@ fn exactly_once_recovery_matches_reference_at_every_batch_size() {
             mode: DeliveryMode::ExactlyOnce,
             restart: RestartPolicy {
                 max_restarts: 3,
-                backoff: Backoff::Fixed(Duration::from_millis(5)),
+                backoff: Duration::from_millis(5),
             },
             run: config(batch),
         };

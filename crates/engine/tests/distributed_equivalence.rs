@@ -8,7 +8,7 @@
 //! real sockets, real signals.
 
 use pdsp_engine::distributed::{DistributedConfig, DistributedRuntime, KillSpec};
-use pdsp_engine::fault::{Backoff, DeliveryMode, FtConfig, RestartPolicy};
+use pdsp_engine::fault::{DeliveryMode, FtConfig, RestartPolicy};
 use pdsp_engine::runtime::{RunConfig, RunResult, ThreadedRuntime};
 use pdsp_engine::testplan;
 use pdsp_engine::{EngineError, Value};
@@ -28,7 +28,7 @@ fn dist_config(run: RunConfig, workers: usize) -> DistributedConfig {
             mode: DeliveryMode::ExactlyOnce,
             restart: RestartPolicy {
                 max_restarts: 3,
-                backoff: Backoff::Fixed(Duration::from_millis(5)),
+                backoff: Duration::from_millis(5),
             },
             run,
         },

@@ -3,7 +3,7 @@
 //! last checkpoint, replay, and finish with correct results.
 
 use pdsp_engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
+    DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
 };
 use pdsp_engine::runtime::{RunConfig, SourceFactory, VecSource};
 use pdsp_engine::{
@@ -53,7 +53,7 @@ fn ft_config(mode: DeliveryMode) -> FtConfig {
         mode,
         restart: RestartPolicy {
             max_restarts: 3,
-            backoff: Backoff::Fixed(Duration::from_millis(5)),
+            backoff: Duration::from_millis(5),
         },
         run: RunConfig::default(),
     }
@@ -170,7 +170,7 @@ fn restart_budget_exhaustion_surfaces_the_root_error() {
     let cfg = FtConfig {
         restart: RestartPolicy {
             max_restarts: 0,
-            backoff: Backoff::Fixed(Duration::from_millis(1)),
+            backoff: Duration::from_millis(1),
         },
         ..ft_config(DeliveryMode::ExactlyOnce)
     };

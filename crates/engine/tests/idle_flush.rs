@@ -7,9 +7,7 @@
 //! waits for those reports *before* it opens the gate. The generous
 //! `recv_timeout` is only how a broken rule fails instead of hanging.
 
-use pdsp_engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy,
-};
+use pdsp_engine::fault::{DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy};
 use pdsp_engine::runtime::{RunConfig, SourceFactory, ThreadedRuntime};
 use pdsp_engine::udo::{CostProfile, FnUdo};
 use pdsp_engine::{EngineError, FieldType, PhysicalPlan, PlanBuilder, Schema, Tuple, Value};
@@ -81,7 +79,7 @@ fn ft_config() -> FtConfig {
         mode: DeliveryMode::ExactlyOnce,
         restart: RestartPolicy {
             max_restarts: 0,
-            backoff: Backoff::Fixed(Duration::from_millis(1)),
+            backoff: Duration::from_millis(1),
         },
         run: RunConfig::default(),
     }

@@ -8,9 +8,7 @@
 
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::expr::{CmpOp, Predicate, ScalarExpr};
-use pdsp_engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy,
-};
+use pdsp_engine::fault::{DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy};
 use pdsp_engine::plan::{LogicalPlan, Partitioning};
 use pdsp_engine::pressure::{OverloadConfig, ShedPolicy};
 use pdsp_engine::runtime::{RunConfig, RunResult, ThreadedRuntime, VecSource};
@@ -346,7 +344,7 @@ fn exactly_once_recovery_holds_with_the_ladder_enabled() {
             mode: DeliveryMode::ExactlyOnce,
             restart: RestartPolicy {
                 max_restarts: 3,
-                backoff: Backoff::Fixed(Duration::from_millis(5)),
+                backoff: Duration::from_millis(5),
             },
             run: RunConfig {
                 overload,

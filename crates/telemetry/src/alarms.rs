@@ -31,11 +31,6 @@ pub enum AlarmKind {
     /// expired). For this kind, `operator` is `"worker"` and `instance` is
     /// the worker id.
     HeartbeatGap,
-    /// The dominant critical-path segment changed between consecutive
-    /// sampler windows — the latency bottleneck moved. For this kind,
-    /// `operator` is the *new* dominant segment label and `instance` is the
-    /// window index in which the shift was observed.
-    CriticalPathShift,
 }
 
 impl AlarmKind {
@@ -46,7 +41,6 @@ impl AlarmKind {
             AlarmKind::ShedFraction => "shed_fraction",
             AlarmKind::LateFraction => "late_fraction",
             AlarmKind::HeartbeatGap => "heartbeat_gap",
-            AlarmKind::CriticalPathShift => "critical_path_shift",
         }
     }
 }
@@ -112,7 +106,6 @@ pub struct AlarmMonitor {
     config: AlarmConfig,
     baselines: HashMap<(String, usize), Baseline>,
     heartbeats: HashMap<usize, u64>,
-    last_dominant: Option<String>,
     firing: Vec<Alarm>,
 }
 
@@ -123,7 +116,6 @@ impl AlarmMonitor {
             config,
             baselines: HashMap::new(),
             heartbeats: HashMap::new(),
-            last_dominant: None,
             firing: Vec::new(),
         }
     }
@@ -240,31 +232,6 @@ impl AlarmMonitor {
         &self.firing
     }
 
-    /// Observe the dominant critical-path segment of one sampler window
-    /// (from [`crate::trace::window_dominants`]); raises
-    /// [`AlarmKind::CriticalPathShift`] when it differs from the previous
-    /// window's dominant. A shift alarm resolves itself at the next stable
-    /// window. Returns all alarms firing now.
-    pub fn observe_critical_path(&mut self, window: u64, dominant: &str) -> &[Alarm] {
-        self.firing
-            .retain(|a| a.kind != AlarmKind::CriticalPathShift);
-        let shifted = self
-            .last_dominant
-            .as_deref()
-            .is_some_and(|prev| prev != dominant);
-        if shifted {
-            self.firing.push(Alarm {
-                kind: AlarmKind::CriticalPathShift,
-                operator: dominant.to_string(),
-                instance: window as usize,
-                value: 1.0,
-                threshold: 0.0,
-            });
-        }
-        self.last_dominant = Some(dominant.to_string());
-        &self.firing
-    }
-
     /// Alarms firing as of the last [`AlarmMonitor::evaluate`] call.
     pub fn firing(&self) -> &[Alarm] {
         &self.firing
@@ -357,25 +324,6 @@ mod tests {
         // The worker comes back: the alarm resolves.
         m.note_heartbeat(0, 5);
         assert!(m.evaluate_heartbeats(5).is_empty());
-    }
-
-    #[test]
-    fn critical_path_shift_fires_on_dominance_change_only() {
-        let mut m = AlarmMonitor::new(AlarmConfig::default());
-        assert!(
-            m.observe_critical_path(0, "op:count").is_empty(),
-            "first window establishes the baseline"
-        );
-        assert!(m.observe_critical_path(1, "op:count").is_empty());
-        let firing = m.observe_critical_path(2, "net:count→sink").to_vec();
-        assert_eq!(firing.len(), 1);
-        assert_eq!(firing[0].kind, AlarmKind::CriticalPathShift);
-        assert_eq!(firing[0].kind.label(), "critical_path_shift");
-        assert_eq!(firing[0].operator, "net:count→sink");
-        assert_eq!(firing[0].instance, 2);
-        // Stable at the new dominant: resolves.
-        assert!(m.observe_critical_path(3, "net:count→sink").is_empty());
-        assert!(m.all_clear());
     }
 
     #[test]

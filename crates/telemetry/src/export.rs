@@ -4,7 +4,6 @@
 //! names, label sets (`app`, `operator`, `instance`, `node`), or JSON field
 //! names as a breaking schema change.
 
-use crate::alarms::Alarm;
 use crate::snapshot::{InstanceSnapshot, TelemetryTimeline};
 use serde::Serialize;
 
@@ -187,58 +186,6 @@ pub fn prometheus_text(snapshots: &[InstanceSnapshot]) -> String {
     out
 }
 
-/// Render currently-firing alarms in Prometheus text exposition format:
-/// one `pdsp_alarm_firing` gauge per alarm, labelled by alarm kind plus the
-/// usual `operator`/`instance` pair, with the observed value as the sample.
-/// Heartbeat-gap alarms appear with `operator="worker"` and the worker id
-/// as `instance`.
-pub fn prometheus_alarms(alarms: &[Alarm]) -> String {
-    if alarms.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from(
-        "# HELP pdsp_alarm_firing Threshold alarm currently firing (value = observed).\n\
-         # TYPE pdsp_alarm_firing gauge\n",
-    );
-    for a in alarms {
-        out.push_str(&format!(
-            "pdsp_alarm_firing{{kind=\"{}\",operator=\"{}\",instance=\"{}\"}} {}\n",
-            a.kind.label(),
-            escape_label(&a.operator),
-            a.instance,
-            fmt_value(a.value)
-        ));
-    }
-    out
-}
-
-#[derive(Serialize)]
-struct AlarmLine {
-    kind: String,
-    operator: String,
-    instance: usize,
-    value: f64,
-    threshold: f64,
-}
-
-/// Render currently-firing alarms as JSON-lines: one self-describing object
-/// per alarm, mirroring [`prometheus_alarms`]' label set.
-pub fn json_alarm_lines(alarms: &[Alarm]) -> String {
-    let mut out = String::new();
-    for a in alarms {
-        let line = AlarmLine {
-            kind: a.kind.label().to_string(),
-            operator: a.operator.clone(),
-            instance: a.instance,
-            value: a.value,
-            threshold: a.threshold,
-        };
-        out.push_str(&serde_json::to_string(&line).expect("serialize alarm"));
-        out.push('\n');
-    }
-    out
-}
-
 #[derive(Serialize)]
 struct SampleLine {
     experiment_id: String,
@@ -296,48 +243,6 @@ mod tests {
     fn latency_metrics_omitted_when_empty() {
         let text = prometheus_text(&[snap()]);
         assert!(!text.contains("pdsp_latency_p50_ms{"));
-    }
-
-    #[test]
-    fn alarm_exporters_golden_labels() {
-        use crate::alarms::AlarmKind;
-        let alarms = vec![
-            Alarm {
-                kind: AlarmKind::HeartbeatGap,
-                operator: "worker".into(),
-                instance: 1,
-                value: 4.0,
-                threshold: 3.0,
-            },
-            Alarm {
-                kind: AlarmKind::ShedFraction,
-                operator: "count".into(),
-                instance: 0,
-                value: 0.5,
-                threshold: 0.1,
-            },
-        ];
-        let text = prometheus_alarms(&alarms);
-        assert!(text.contains("# TYPE pdsp_alarm_firing gauge"));
-        assert!(text.contains(
-            "pdsp_alarm_firing{kind=\"heartbeat_gap\",operator=\"worker\",instance=\"1\"} 4"
-        ));
-        assert!(text.contains(
-            "pdsp_alarm_firing{kind=\"shed_fraction\",operator=\"count\",instance=\"0\"} 0.5"
-        ));
-        let json = json_alarm_lines(&alarms);
-        assert_eq!(json.lines().count(), 2);
-        let first: serde_json::Value = serde_json::from_str(json.lines().next().unwrap()).unwrap();
-        assert_eq!(first["kind"].as_str(), Some("heartbeat_gap"));
-        assert_eq!(first["operator"].as_str(), Some("worker"));
-        assert_eq!(first["instance"].as_f64(), Some(1.0));
-        assert_eq!(first["threshold"].as_f64(), Some(3.0));
-    }
-
-    #[test]
-    fn alarm_exporters_empty_input() {
-        assert_eq!(prometheus_alarms(&[]), "");
-        assert_eq!(json_alarm_lines(&[]), "");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! * [`histogram`] — fixed-bucket log-scale latency histogram
 //!   ([`LogHistogram`]) with a mergeable, serializable
 //!   [`HistogramSnapshot`] (documented 6.25% quantile error bound);
+//! * [`latency`] — the bounded-memory [`LatencyRecorder`] the simulator
+//!   and the controller summarize runs with;
+//! * [`summary`] — the per-run [`RunSummary`] and the paper's
+//!   [`MeasurementProtocol`] (mean of three runs of the median latency);
 //! * [`sampler`] — a background thread snapshotting the registry at a
 //!   configurable interval into a [`TelemetryTimeline`];
 //! * [`snapshot`] — the timeline schema shared verbatim by the threaded
@@ -25,30 +29,34 @@
 //!   attribution, and Chrome trace-event export.
 //!
 //! This crate is a dependency leaf (no other `pdsp-*` crates), so the
-//! engine, simulator, metrics, and controller can all share one schema.
+//! engine, simulator and controller can all share one schema.
 
 #![warn(missing_docs)]
 
 pub mod alarms;
 pub mod export;
 pub mod histogram;
+pub mod latency;
 pub mod recorder;
 pub mod registry;
 pub mod sampler;
 pub mod snapshot;
+pub mod summary;
 pub mod trace;
 
 pub use alarms::{Alarm, AlarmConfig, AlarmKind, AlarmMonitor};
-pub use export::{json_alarm_lines, json_lines, prometheus_alarms, prometheus_text};
+pub use export::{json_lines, prometheus_text};
 pub use histogram::{HistogramSnapshot, LogHistogram, QUANTILE_RELATIVE_ERROR};
+pub use latency::LatencyRecorder;
 pub use recorder::{FlightEvent, FlightEventKind, FlightRecorder};
 pub use registry::{FlushReason, InstanceMetrics, MetricsRegistry};
 pub use sampler::{RunTelemetry, Sampler, TelemetryConfig};
 pub use snapshot::{InstanceSnapshot, TelemetryTimeline, TimelineSample};
+pub use summary::{MeasurementProtocol, RunSummary};
 pub use trace::{
     assemble, attribute, attribution_report, chrome_trace_json, compare_report, critical_path,
-    window_dominants, Attribution, CriticalPath, Segment, Span, SpanId, SpanKind, SpanRing,
-    TraceBook, TraceContext, TraceId, TraceSet, TraceTree,
+    Attribution, CriticalPath, Segment, Span, SpanId, SpanKind, SpanRing, TraceBook, TraceContext,
+    TraceId, TraceSet, TraceTree,
 };
 
 use std::sync::atomic::{AtomicU64, Ordering};

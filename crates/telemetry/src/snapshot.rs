@@ -129,19 +129,6 @@ impl TelemetryTimeline {
         self.samples.last()
     }
 
-    /// Cumulative `(t_ms, tuples_out)` series for one operator instance.
-    pub fn tuples_out_series(&self, operator: &str, instance: usize) -> Vec<(u64, u64)> {
-        self.samples
-            .iter()
-            .filter_map(|s| {
-                s.instances
-                    .iter()
-                    .find(|i| i.operator == operator && i.instance == instance)
-                    .map(|i| (s.t_ms, i.tuples_out))
-            })
-            .collect()
-    }
-
     /// Merged end-to-end latency histogram across all sink instances in the
     /// final sample.
     pub fn final_latency(&self) -> HistogramSnapshot {
@@ -194,27 +181,5 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: TelemetryTimeline = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn series_extraction() {
-        let mk = |t_ms, out| TimelineSample {
-            t_ms,
-            instances: vec![InstanceSnapshot {
-                operator: "map".into(),
-                instance: 0,
-                tuples_out: out,
-                ..Default::default()
-            }],
-        };
-        let t = TelemetryTimeline {
-            samples: vec![mk(0, 0), mk(100, 50), mk(200, 90)],
-            ..Default::default()
-        };
-        assert_eq!(
-            t.tuples_out_series("map", 0),
-            vec![(0, 0), (100, 50), (200, 90)]
-        );
-        assert!(t.tuples_out_series("other", 0).is_empty());
     }
 }

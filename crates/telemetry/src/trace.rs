@@ -303,13 +303,6 @@ impl TraceTree {
         self.spans.iter().any(|s| s.kind == SpanKind::Source) && self.sink().is_some()
     }
 
-    /// End-to-end latency from source emit to sink delivery, ns.
-    pub fn end_to_end_ns(&self) -> Option<u64> {
-        let root = self.root()?;
-        let sink = self.sink()?;
-        Some(sink.end_ns.saturating_sub(root.start_ns))
-    }
-
     /// Verify the parent pointers form a forest (no cycles, every parent
     /// either in-tree or absent). Used by the property tests.
     pub fn is_acyclic(&self) -> bool {
@@ -533,30 +526,6 @@ pub fn attribute(trees: &[TraceTree]) -> Attribution {
         mean_total_ns: mean_total,
         segments,
     }
-}
-
-/// Dominant critical-path segment per sampler window: complete traces are
-/// bucketed by sink-delivery time into `interval_ms` windows and each
-/// window's attribution dominant is reported. Feed consecutive entries to
-/// [`crate::alarms::AlarmMonitor::observe_critical_path`] to detect shifts.
-pub fn window_dominants(trees: &[TraceTree], interval_ms: u64) -> Vec<(u64, String)> {
-    let interval_ns = interval_ms.max(1).saturating_mul(1_000_000);
-    let mut windows: BTreeMap<u64, Vec<&TraceTree>> = BTreeMap::new();
-    for t in trees {
-        if let Some(sink) = t.sink() {
-            windows
-                .entry(sink.end_ns / interval_ns)
-                .or_default()
-                .push(t);
-        }
-    }
-    windows
-        .into_iter()
-        .filter_map(|(w, ts)| {
-            let owned: Vec<TraceTree> = ts.into_iter().cloned().collect();
-            attribute(&owned).dominant().map(|d| (w, d.to_string()))
-        })
-        .collect()
 }
 
 /// A persisted bundle of spans for one run, keyed like timelines are.
@@ -822,45 +791,6 @@ mod tests {
             (share_sum - 1.0).abs() < 1e-9,
             "shares sum to 1: {share_sum}"
         );
-    }
-
-    #[test]
-    fn window_dominants_bucket_by_sink_time() {
-        let mut spans = linear_trace();
-        // Second complete trace delivered in a later window, dominated by a
-        // huge queue wait.
-        spans.extend(vec![
-            span(3, 40, None, SpanKind::Source, "src", (5_000_000, 5_000_000)),
-            span(
-                3,
-                41,
-                Some(40),
-                SpanKind::Batch,
-                "src",
-                (5_000_000, 5_000_100),
-            ),
-            span(
-                3,
-                42,
-                Some(41),
-                SpanKind::Queue,
-                "sink",
-                (5_000_100, 8_000_000),
-            ),
-            span(
-                3,
-                43,
-                Some(42),
-                SpanKind::Deliver,
-                "sink",
-                (8_000_000, 8_000_500),
-            ),
-        ]);
-        let doms = window_dominants(&assemble(spans), 1);
-        assert_eq!(doms.len(), 2);
-        assert_eq!(doms[0].0, 0);
-        assert_eq!(doms[1].0, 8);
-        assert_eq!(doms[1].1, "queue:src→sink");
     }
 
     #[test]

@@ -203,18 +203,17 @@ impl ParallelismEnumerator {
                 for (id, &degree) in assignment.iter().enumerate() {
                     candidate.nodes[id].parallelism = degree;
                 }
-                let accepted = candidate.validate().is_ok()
+                let validated = candidate.validate();
+                let accepted = validated.is_ok()
                     && analyzer
                         .analyze("candidate", &candidate)
                         .map(|r| r.errors() == 0)
                         .unwrap_or(false);
                 #[cfg(debug_assertions)]
-                if accepted {
+                if let (true, Ok(flow)) = (accepted, &validated) {
                     // Degree choices never change tuple types, so every
                     // accepted assignment must still carry a clean and
                     // complete schema flow.
-                    let flow = pdsp_engine::schema_flow::SchemaFlow::infer(&candidate)
-                        .expect("accepted candidate infers schemas");
                     debug_assert!(
                         flow.is_clean() && flow.is_complete(),
                         "accepted assignment breaks schema flow: {:?}",

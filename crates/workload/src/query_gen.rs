@@ -323,14 +323,14 @@ impl QueryGenerator {
         let sink = plan.add_node("sink", OpKind::Sink, 1);
         plan.connect(agg_node, sink, Partitioning::Rebalance);
 
-        debug_assert!(plan.validate().is_ok(), "{:?}", plan.validate());
         #[cfg(debug_assertions)]
         {
+            let flow = plan
+                .validate()
+                .unwrap_or_else(|e| panic!("generated plan validates: {e}"));
             let report =
                 pdsp_analyze::analyze(structure.label(), &plan).expect("generated plan analyzes");
             debug_assert_eq!(report.errors(), 0, "{}", report.render());
-            let flow = pdsp_engine::schema_flow::SchemaFlow::infer(&plan)
-                .expect("generated plan infers schemas");
             debug_assert!(
                 flow.is_clean(),
                 "generated plan has schema errors: {:?}",

@@ -8,7 +8,7 @@
 
 use pdsp_bench::engine::agg::AggFunc;
 use pdsp_bench::engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
+    DeliveryMode, FaultInjector, FtConfig, FtRunResult, FtRuntime, RestartPolicy,
 };
 use pdsp_bench::engine::physical::PhysicalPlan;
 use pdsp_bench::engine::runtime::{RunConfig, VecSource};
@@ -53,7 +53,7 @@ fn run(mode: DeliveryMode, injector: Option<FaultInjector>) -> FtRunResult {
         mode,
         restart: RestartPolicy {
             max_restarts: 3,
-            backoff: Backoff::Fixed(Duration::from_millis(10)),
+            backoff: Duration::from_millis(10),
         },
         run: RunConfig::default(),
     };

@@ -17,10 +17,9 @@
 //!   safety, state bounds, backpressure hazards, cost smells) with stable
 //!   `PB0xx` diagnostics;
 //! * [`ml`] — learned cost models (LR, MLP, RF, GNN) with q-error metrics;
-//! * [`metrics`] — latency/throughput collection and the paper's
-//!   measurement protocol;
 //! * [`telemetry`] — live runtime telemetry: per-instance metrics registry,
-//!   time-series sampler, flight recorder, Prometheus/JSON-lines exporters;
+//!   time-series sampler, flight recorder, Prometheus/JSON-lines exporters,
+//!   latency summaries and the paper's measurement protocol;
 //! * [`store`] — embedded document store for workloads and results;
 //! * [`core`] — the controller, ML manager, and every experiment of the
 //!   paper's evaluation (Figures 3-6, Tables 2-4).
@@ -53,7 +52,6 @@ pub use pdsp_apps as apps;
 pub use pdsp_bench_core as core;
 pub use pdsp_cluster as cluster;
 pub use pdsp_engine as engine;
-pub use pdsp_metrics as metrics;
 pub use pdsp_ml as ml;
 pub use pdsp_store as store;
 pub use pdsp_telemetry as telemetry;

@@ -9,7 +9,7 @@ use pdsp_bench::apps::{app_by_name, AppConfig};
 use pdsp_bench::cluster::{Cluster, SimConfig};
 use pdsp_bench::core::controller::Controller;
 use pdsp_bench::engine::distributed::{DistributedConfig, KillSpec};
-use pdsp_bench::engine::fault::{Backoff, DeliveryMode, RestartPolicy};
+use pdsp_bench::engine::fault::{DeliveryMode, RestartPolicy};
 use pdsp_bench::store::Store;
 use pdsp_bench::telemetry::AlarmKind;
 use std::sync::Arc;
@@ -36,7 +36,7 @@ fn dist_config(kill: Option<KillSpec>) -> DistributedConfig {
     dist.ft.checkpoint_interval_tuples = 200;
     dist.ft.restart = RestartPolicy {
         max_restarts: 3,
-        backoff: Backoff::Fixed(Duration::from_millis(5)),
+        backoff: Duration::from_millis(5),
     };
     dist
 }

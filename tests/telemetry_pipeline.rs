@@ -8,9 +8,7 @@ use pdsp_bench::apps::{app_by_acronym, AppConfig};
 use pdsp_bench::cluster::{Cluster, SimConfig};
 use pdsp_bench::core::controller::Controller;
 use pdsp_bench::core::report::telemetry_report;
-use pdsp_bench::engine::fault::{
-    Backoff, DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy,
-};
+use pdsp_bench::engine::fault::{DeliveryMode, FaultInjector, FtConfig, FtRuntime, RestartPolicy};
 use pdsp_bench::engine::runtime::VecSource;
 use pdsp_bench::engine::value::{FieldType, Schema, Tuple, Value};
 use pdsp_bench::engine::{telemetry_for_plan, PhysicalPlan, PlanBuilder};
@@ -134,7 +132,7 @@ fn dying_run_dumps_a_trace_naming_the_fault() {
         mode: DeliveryMode::AtLeastOnce,
         restart: RestartPolicy {
             max_restarts: 0, // die on the first fault
-            backoff: Backoff::Fixed(Duration::from_millis(1)),
+            backoff: Duration::from_millis(1),
         },
         run: Default::default(),
     });
