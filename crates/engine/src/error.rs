@@ -55,6 +55,19 @@ pub enum EngineError {
         /// Tuple width.
         width: usize,
     },
+    /// A plan operator reads a field past its input schema: the refusal of
+    /// [`crate::plan::LogicalPlan::validate`], where
+    /// [`EngineError::FieldOutOfBounds`] is the one of a running operator.
+    FieldPastSchema {
+        /// The operator that reads the field.
+        operator: String,
+        /// What in the operator reads it (`"predicate"`, `"left join key"`, ...).
+        reader: &'static str,
+        /// Referenced index.
+        index: usize,
+        /// Width of the operator's input schema.
+        width: usize,
+    },
     /// A comparison between incompatible value types.
     TypeError(String),
     /// A join operator was wired with the wrong number of inputs.
@@ -213,6 +226,15 @@ impl fmt::Display for EngineError {
             EngineError::FieldOutOfBounds { index, width } => {
                 write!(f, "expression references field {index} in tuple of width {width}")
             }
+            EngineError::FieldPastSchema {
+                operator,
+                reader,
+                index,
+                width,
+            } => write!(
+                f,
+                "operator '{operator}': {reader} reads field {index} but the input schema has only {width} field(s)"
+            ),
             EngineError::TypeError(msg) => write!(f, "type error: {msg}"),
             EngineError::JoinArity { operator, inputs } => {
                 write!(f, "join operator '{operator}' requires 2 inputs, found {inputs}")

@@ -68,7 +68,7 @@ pub use physical::PhysicalPlan;
 pub use plan::{Edge, LogicalNode, LogicalPlan, NodeId, Partitioning};
 pub use pressure::{OverloadConfig, PressureGauge, PressureLevel, ShedPolicy, Shedder};
 pub use runtime::{RunConfig, RunResult, ThreadedRuntime};
-pub use schema_flow::{IssueAt, IssueKind, SchemaFlow, SchemaIssue};
+pub use schema_flow::{FieldRead, IssueAt, IssueKind, SchemaFlow, SchemaIssue};
 pub use telemetry::telemetry_for_plan;
 pub use value::{Field, FieldType, Schema, Tuple, Value};
 pub use window::{WindowKind, WindowPolicy, WindowSpec};

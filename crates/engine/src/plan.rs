@@ -167,7 +167,7 @@ impl LogicalPlan {
     /// compatibility and keyed partitioning first, then the first
     /// full-severity field read past its schema that [`SchemaFlow::infer`]
     /// found — [`EngineError::InvalidKeyField`] on a hash-partitioned edge,
-    /// [`EngineError::FieldOutOfBounds`] in an operator. Type mismatches
+    /// [`EngineError::FieldPastSchema`] in an operator. Type mismatches
     /// and other error-class issues stay deploy-gate findings.
     pub fn validate(&self) -> Result<SchemaFlow> {
         if self.sources().is_empty() {
@@ -202,14 +202,17 @@ impl LogicalPlan {
             .filter(|i| !i.downgraded)
             .find_map(|i| Some((i.at, i.out_of_bounds?)));
         match out_of_bounds {
-            Some((IssueAt::Edge(e), (field, schema_width))) => Err(EngineError::InvalidKeyField {
+            Some((IssueAt::Edge(e), read)) => Err(EngineError::InvalidKeyField {
                 operator: self.nodes[self.edges[e].from].name.clone(),
-                field,
-                schema_width,
+                field: read.index,
+                schema_width: read.width,
             }),
-            Some((IssueAt::Node(_), (index, width))) => {
-                Err(EngineError::FieldOutOfBounds { index, width })
-            }
+            Some((IssueAt::Node(n), read)) => Err(EngineError::FieldPastSchema {
+                operator: self.nodes[n].name.clone(),
+                reader: read.reader,
+                index: read.index,
+                width: read.width,
+            }),
             None => Ok(flow),
         }
     }
@@ -559,6 +562,7 @@ mod tests {
             key_field: None,
         };
         agg.nodes[1].parallelism = 1;
+        agg.nodes[1].name = "window".into();
         let mut filter = linear_plan();
         filter.nodes[1].kind = OpKind::Filter {
             predicate: Predicate::cmp(2, CmpOp::Gt, Value::Int(0)),
@@ -593,10 +597,27 @@ mod tests {
         join.connect_port(s1, j, 0, Partitioning::Rebalance);
         join.connect_port(s2, j, 1, Partitioning::Rebalance);
         join.connect(j, sink, Partitioning::Rebalance);
-        for (plan, index, width) in [(agg, 3, 1), (filter, 2, 1), (join, 4, 2)] {
+        for (plan, operator, reader, index, width) in [
+            (agg, "window", "aggregate", 3, 1),
+            (filter, "filter", "predicate", 2, 1),
+            (join, "join", "right join key", 4, 2),
+        ] {
+            let err = plan.validate().unwrap_err();
             assert_eq!(
-                plan.validate().unwrap_err(),
-                EngineError::FieldOutOfBounds { index, width }
+                err,
+                EngineError::FieldPastSchema {
+                    operator: operator.into(),
+                    reader,
+                    index,
+                    width
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "operator '{operator}': {reader} reads field {index} \
+                     but the input schema has only {width} field(s)"
+                )
             );
         }
     }

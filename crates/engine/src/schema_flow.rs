@@ -117,12 +117,23 @@ pub struct SchemaIssue {
     pub at: IssueAt,
     /// Human-readable description naming fields and types.
     pub message: String,
-    /// `(index, width)` of a field read past its schema; `Some` exactly
-    /// for [`IssueKind::UnknownField`].
-    pub out_of_bounds: Option<(usize, usize)>,
+    /// The field read past its schema; `Some` exactly for
+    /// [`IssueKind::UnknownField`].
+    pub out_of_bounds: Option<FieldRead>,
     /// The issue sits downstream of an `Opaque` UDO: its premise is an
     /// unverified schema claim, so consumers report it as a hint.
     pub downgraded: bool,
+}
+
+/// A read of field `index` by `reader` from a schema `width` fields wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldRead {
+    /// What reads the field (`"predicate"`, `"left join key"`, ...).
+    pub reader: &'static str,
+    /// The field read.
+    pub index: usize,
+    /// Width of the schema read from.
+    pub width: usize,
 }
 
 /// The result of schema inference over one plan.
@@ -152,7 +163,7 @@ fn is_stringy(ty: FieldType) -> bool {
 /// an input schema `width` fields wide.
 fn unknown_field(
     at: IssueAt,
-    reader: &str,
+    reader: &'static str,
     index: usize,
     width: usize,
     downgraded: bool,
@@ -163,7 +174,11 @@ fn unknown_field(
         message: format!(
             "{reader} reads field {index} but the input schema has only {width} field(s)"
         ),
-        out_of_bounds: Some((index, width)),
+        out_of_bounds: Some(FieldRead {
+            reader,
+            index,
+            width,
+        }),
         downgraded,
     }
 }
@@ -269,7 +284,7 @@ fn check_key_field(
     idx: usize,
     input: &Schema,
     at: IssueAt,
-    role: &str,
+    role: &'static str,
     issues: &mut Vec<SchemaIssue>,
     downgraded: bool,
 ) -> Option<FieldType> {
@@ -741,7 +756,14 @@ mod tests {
         let flow = SchemaFlow::infer(&plan).unwrap();
         let issue = &flow.issues[0];
         assert_eq!(issue.kind, IssueKind::UnknownField);
-        assert_eq!(issue.out_of_bounds, Some((5, 1)));
+        assert_eq!(
+            issue.out_of_bounds,
+            Some(FieldRead {
+                reader: "expression",
+                index: 5,
+                width: 1
+            })
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! PDSP-Bench generates streams whose tuple width and per-field types vary
 //! (Table 3: width 1-15 over {string, double, int}), so tuples are
-//! dynamically typed. `Value` keeps string payloads behind `Arc<str>` so that
-//! fan-out partitioning (broadcast, multi-consumer shuffles) clones cheaply.
+//! dynamically typed. A string payload is a [`Text`]: up to 22 bytes sit
+//! inside the 24-byte `Value`, so a word is copied, hashed and dropped without
+//! touching the heap; a longer string stays behind an `Arc<str>`, so fan-out
+//! partitioning (broadcast, multi-consumer shuffles) still clones it cheaply.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -11,6 +13,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The type of a single tuple field.
@@ -48,8 +51,9 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE float.
     Double(f64),
-    /// UTF-8 string (cheaply cloneable).
-    Str(Arc<str>),
+    /// UTF-8 string: inline up to 22 bytes, shared behind an `Arc` beyond,
+    /// so cloning never copies more than the value itself.
+    Str(Text),
     /// Boolean.
     Bool(bool),
     /// Event timestamp in milliseconds since epoch.
@@ -59,7 +63,7 @@ pub enum Value {
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::from(s.as_ref()))
     }
 
     /// The [`FieldType`] of this value.
@@ -98,7 +102,7 @@ impl Value {
     /// Borrow as &str for string values.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -110,7 +114,7 @@ impl Value {
     /// the numeric/string divide return `None`.
     pub fn partial_cmp_value(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            (Value::Str(a), Value::Str(b)) => Some(a.as_str().cmp(b.as_str())),
             (Value::Str(_), _) | (_, Value::Str(_)) => None,
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
@@ -184,6 +188,127 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Timestamp(t) => write!(f, "@{t}"),
         }
+    }
+}
+
+/// Longest string a [`Text`] keeps inline: a `Value` is 24 bytes, and one
+/// byte holds the length (and, through its unused values, both enum tags).
+const INLINE_CAP: usize = 22;
+
+/// The payload of [`Value::Str`], read as a `&str` through `Deref`,
+/// `AsRef<str>` and `Display`, and built only from a `&str`.
+///
+/// A string of at most 22 bytes is stored inline, so a short word costs no
+/// allocation, and no refcount shared between the threads that clone and
+/// drop it; a longer one is an `Arc<str>`, so a tuple that fans out still
+/// clones it in O(1). The split is the one of SmolStr
+/// (<https://github.com/rust-analyzer/smol_str>) and CompactString
+/// (<https://github.com/ParkMyCar/compact_str>), without their extra forms.
+/// Which form holds a string follows from its length alone, so equal strings
+/// have equal representations.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Text(Repr);
+
+// The derived `PartialEq` compares representations, which is string
+// equality because the form is a function of the length and an inline
+// string's unused bytes are always zero.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// The first `len` bytes of `buf` are UTF-8; the rest are zero.
+    Inline {
+        len: InlineLen,
+        buf: [u8; INLINE_CAP],
+    },
+    Shared(Arc<str>),
+}
+
+/// The length of an inline string. An enum rather than a `u8`, so the byte
+/// values 23 to 255 are a niche in which `Repr` and then `Value` keep their
+/// tags: `Value` stays 24 bytes and `Tuple` 40.
+#[rustfmt::skip]
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum InlineLen {
+    L0, L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11,
+    L12, L13, L14, L15, L16, L17, L18, L19, L20, L21, L22,
+}
+
+#[rustfmt::skip]
+const INLINE_LENS: [InlineLen; INLINE_CAP + 1] = {
+    use InlineLen::*;
+    [
+        L0, L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11,
+        L12, L13, L14, L15, L16, L17, L18, L19, L20, L21, L22,
+    ]
+};
+
+impl Text {
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, buf } => {
+                let bytes = &buf[..*len as usize];
+                // SAFETY: `Text::from` is the only constructor of `Inline`,
+                // and it copies `len` bytes of a `&str` into `buf`, cut at the
+                // string's end, so `bytes` is that whole string: valid UTF-8.
+                unsafe { std::str::from_utf8_unchecked(bytes) }
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        let len = s.len();
+        if len > INLINE_CAP {
+            return Text(Repr::Shared(Arc::from(s)));
+        }
+        let mut buf = [0u8; INLINE_CAP];
+        buf[..len].copy_from_slice(s.as_bytes());
+        Text(Repr::Inline {
+            len: INLINE_LENS[len],
+            buf,
+        })
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Text {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+// A plain JSON string, whichever form holds it, so snapshot text does not
+// depend on the representation.
+impl Serialize for Text {
+    fn to_json_value(&self) -> serde::Value {
+        self.as_str().to_json_value()
+    }
+}
+
+impl Deserialize for Text {
+    fn from_json_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        String::from_json_value(value).map(|s| Text::from(s.as_str()))
     }
 }
 
@@ -454,6 +579,66 @@ mod tests {
             h.write_i64(42);
             h.finish64()
         });
+        // One inline and one shared string: the bytes alone are hashed, so
+        // hash partitioning and keyed-state placement do not see the form.
+        assert_eq!(Value::str("the").stable_hash(), 0xdf8c_058f_e7d5_041c);
+        assert_eq!(
+            Value::str("the quick brown fox jumps over").stable_hash(),
+            0xfeee_40ce_f8c8_3e0f
+        );
+    }
+
+    const S22: &str = "abcdefghijklmnopqrstuv";
+    const S23: &str = "abcdefghijklmnopqrstuvw";
+    /// 23 bytes: the last character's two bytes straddle the inline limit.
+    const S23_MB: &str = "abcdefghijklmnopqrstuž";
+
+    #[test]
+    fn value_and_tuple_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Tuple>(), 40);
+    }
+
+    #[test]
+    fn strings_compare_alike_across_the_inline_limit() {
+        assert!(matches!(Text::from(S22).0, Repr::Inline { .. }));
+        assert!(matches!(Text::from(S23).0, Repr::Shared(_)));
+        let (short, long) = (Value::str(S22), Value::str(S23));
+        assert_eq!(short, Value::str(S22));
+        assert_eq!(long, Value::str(S23));
+        assert_eq!(long.clone(), long);
+        assert_ne!(short, long);
+        assert_ne!(Value::str(S23_MB), long);
+        assert_eq!(short.partial_cmp_value(&long), Some(Ordering::Less));
+        assert_eq!(long.partial_cmp_value(&short), Some(Ordering::Greater));
+        let (b22, a23) = (Value::str("b".repeat(22)), Value::str("a".repeat(23)));
+        assert_eq!(b22.partial_cmp_value(&a23), Some(Ordering::Greater));
+        assert_eq!(
+            short.partial_cmp_value(&short.clone()),
+            Some(Ordering::Equal)
+        );
+        for s in [S22, S23, S23_MB, ""] {
+            assert_eq!(Value::str(s).as_str(), Some(s));
+            assert_eq!(Value::str(s).to_string(), s);
+        }
+    }
+
+    #[test]
+    fn boundary_strings_keep_their_json_text() {
+        for (s, json) in [
+            ("", r#"{"Str":""}"#),
+            (S22, r#"{"Str":"abcdefghijklmnopqrstuv"}"#),
+            (S23, r#"{"Str":"abcdefghijklmnopqrstuvw"}"#),
+            (S23_MB, r#"{"Str":"abcdefghijklmnopqrstuž"}"#),
+        ] {
+            assert_eq!(serde_json::to_string(&Value::str(s)).unwrap(), json);
+            assert_eq!(
+                serde_json::to_string(&KeyValue(Value::str(s))).unwrap(),
+                json
+            );
+            let back: Value = serde_json::from_str(json).unwrap();
+            assert_eq!(back, Value::str(s));
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ use crate::message::{Batch, FrameTrace, Message};
 use crate::value::{Tuple, Value};
 use pdsp_telemetry::{SpanId, TraceContext, TraceId};
 use std::io;
-use std::sync::Arc;
 
 const TAG_BATCH: u8 = 1;
 const TAG_TRACED_BATCH: u8 = 2;
@@ -237,7 +236,7 @@ impl<'a> Reader<'a> {
                 let len = self.count(1)?;
                 let text = std::str::from_utf8(self.take(len)?)
                     .map_err(|e| corrupt(format!("string is not UTF-8: {e}")))?;
-                Value::Str(Arc::from(text))
+                Value::str(text)
             }
             VAL_BOOL => match self.u8()? {
                 0 => Value::Bool(false),
@@ -320,11 +319,16 @@ mod tests {
                     2 => f64::NEG_INFINITY,
                     _ => f64::from_bits(self.roll()),
                 }),
-                2 => Value::str(match self.roll() % 4 {
+                2 => Value::str(match self.roll() % 7 {
                     0 => String::new(),
                     1 => "žluťoučký kůň 🐎".to_string(),
                     2 => "the".to_string(),
-                    n => "x".repeat((n % 300) as usize),
+                    // The longest inline string, the shortest shared one,
+                    // and a two-byte character across the inline limit.
+                    3 => "x".repeat(22),
+                    4 => "x".repeat(23),
+                    5 => "abcdefghijklmnopqrstuž".to_string(),
+                    _ => "x".repeat((self.roll() % 300) as usize),
                 }),
                 3 => Value::Bool(self.roll() % 2 == 1),
                 _ => Value::Timestamp(self.int()),
@@ -463,6 +467,41 @@ mod tests {
         }
         assert_eq!(at, bytes.len(), "the walk covers the whole frame");
         (msg, bytes, tags, lengths)
+    }
+
+    /// Strings either side of the inline limit encode as they always have:
+    /// tag, `u32` length, bytes (the bytes of a frame from before strings
+    /// were stored inline).
+    #[test]
+    fn string_values_keep_their_wire_bytes() {
+        let (s22, s23) = ("abcdefghijklmnopqrstuv", "abcdefghijklmnopqrstuvw");
+        let s299 = &"0123456789".repeat(30)[..299];
+        let msg = Message::Batch(Batch {
+            tuples: vec![Tuple::new(
+                [String::new(), s22.into(), s23.into(), s299.into()]
+                    .iter()
+                    .map(Value::str)
+                    .collect(),
+            )],
+            trace: None,
+        });
+        let mut want = vec![0; 16];
+        want.extend_from_slice(&[1, 1, 0, 0, 0]);
+        want.extend_from_slice(&[0; 16]);
+        want.extend_from_slice(&[4, 0, 0, 0]);
+        for (head, body) in [
+            ([2, 0, 0, 0, 0], ""),
+            ([2, 22, 0, 0, 0], s22),
+            ([2, 23, 0, 0, 0], s23),
+            ([2, 43, 1, 0, 0], s299),
+        ] {
+            want.extend_from_slice(&head);
+            want.extend_from_slice(body.as_bytes());
+        }
+        assert_eq!(want.len(), 405);
+        let bytes = encoded(0, 0, &msg);
+        assert_eq!(bytes, want);
+        assert!(identical(&decode_frame(&bytes).unwrap().2, &msg));
     }
 
     #[test]
