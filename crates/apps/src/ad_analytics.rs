@@ -11,7 +11,7 @@ use crate::registry::AppInfo;
 use pdsp_engine::expr::{CmpOp, Predicate};
 use pdsp_engine::operator::OpKind;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, KeyHashBuilder, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, KeyHashBuilder, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::{Partitioning, PlanBuilder};
 use std::collections::{HashMap, VecDeque};
@@ -67,7 +67,7 @@ impl Udo for CtrState {
         if w.joined.is_multiple_of(CTR_EMIT_EVERY) && !w.history.is_empty() {
             let ctr = w.clicks as f64 / w.history.len() as f64;
             out.push(Tuple {
-                values: vec![Value::Int(ad), Value::Double(ctr)],
+                values: Row::from([Value::Int(ad), Value::Double(ctr)]),
                 event_time: tuple.event_time,
                 emit_ns: tuple.emit_ns,
             });
@@ -128,11 +128,11 @@ impl Application for AdAnalytics {
         ]);
         let impressions = ClosureStream::new(imp_schema.clone(), config, |_, rng| {
             let ad = rng.gen_range(0..200i64);
-            vec![
+            Row::from([
                 Value::Int(ad),
                 Value::Int(ad / 10),
                 Value::Double(rng.gen_range(0.01..2.0)),
-            ]
+            ])
         });
         // Clicks: [ad, user, clicked]
         let click_schema = named_schema(&[
@@ -148,11 +148,11 @@ impl Application for AdAnalytics {
             // Low-id ads attract more clicks.
             let r: f64 = rng.gen_range(0.0f64..1.0);
             let ad = ((r * r) * 200.0) as i64;
-            vec![
+            Row::from([
                 Value::Int(ad),
                 Value::Int(rng.gen_range(0..10_000i64)),
                 Value::Int(rng.gen_bool(0.3) as i64),
-            ]
+            ])
         });
 
         let mut b = PlanBuilder::new();

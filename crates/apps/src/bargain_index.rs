@@ -6,7 +6,7 @@
 use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStream};
 use crate::registry::AppInfo;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::PlanBuilder;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -46,11 +46,11 @@ impl Udo for BargainState {
                 let index = (vwap - price) * volume / vwap;
                 if index > BARGAIN_THRESHOLD {
                     out.push(Tuple {
-                        values: vec![
+                        values: Row::from([
                             Value::Int(symbol),
                             Value::Double(price),
                             Value::Double(index),
-                        ],
+                        ]),
                         event_time: tuple.event_time,
                         emit_ns: tuple.emit_ns,
                     });
@@ -127,11 +127,11 @@ impl Application for BargainIndex {
             } else {
                 fair * rng.gen_range(0.995..1.005)
             };
-            vec![
+            Row::from([
                 Value::Int(symbol),
                 Value::Double(price),
                 Value::Double(rng.gen_range(10.0..500.0)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("quotes", schema, 1)

@@ -6,7 +6,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::collections::{HashSet, VecDeque};
@@ -53,7 +53,7 @@ impl Udo for VisitState {
             }
         }
         out.push(Tuple {
-            values: vec![Value::Int(url), Value::Int(user), Value::Int(repeat as i64)],
+            values: Row::from([Value::Int(url), Value::Int(user), Value::Int(repeat as i64)]),
             event_time: tuple.event_time,
             emit_ns: tuple.emit_ns,
         });
@@ -112,7 +112,7 @@ impl Application for ClickAnalytics {
             // Popular pages get most clicks.
             let r: f64 = rng.gen_range(0.0f64..1.0);
             let url = ((r * r) * 500.0) as i64;
-            vec![Value::Int(rng.gen_range(0..5_000i64)), Value::Int(url)]
+            Row::from([Value::Int(rng.gen_range(0..5_000i64)), Value::Int(url)])
         });
         let plan = PlanBuilder::new()
             .source("clicks", schema, 1)

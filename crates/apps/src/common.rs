@@ -3,7 +3,7 @@
 
 use pdsp_engine::plan::LogicalPlan;
 use pdsp_engine::runtime::SourceFactory;
-use pdsp_engine::value::{Field, FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{Field, FieldType, Row, Schema, Tuple};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -73,7 +73,7 @@ pub struct ClosureStream<F> {
 
 impl<F> ClosureStream<F>
 where
-    F: Fn(u64, &mut ChaCha8Rng) -> Vec<Value> + Send + Sync + Clone + 'static,
+    F: Fn(u64, &mut ChaCha8Rng) -> Row + Send + Sync + Clone + 'static,
 {
     /// Build a closure stream.
     pub fn new(schema: Schema, config: &AppConfig, f: F) -> Arc<Self> {
@@ -99,7 +99,7 @@ where
 
 impl<F> SourceFactory for ClosureStream<F>
 where
-    F: Fn(u64, &mut ChaCha8Rng) -> Vec<Value> + Send + Sync + Clone + 'static,
+    F: Fn(u64, &mut ChaCha8Rng) -> Row + Send + Sync + Clone + 'static,
 {
     fn instance_iter(
         &self,
@@ -201,14 +201,14 @@ pub fn random_sentence(rng: &mut ChaCha8Rng, len: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsp_engine::value::FieldType;
+    use pdsp_engine::value::Value;
 
     #[test]
     fn closure_stream_generates_schema_conformant_tuples() {
         let cfg = AppConfig::default();
         let schema = Schema::of(&[FieldType::Int, FieldType::Double]);
         let stream = ClosureStream::new(schema.clone(), &cfg, |i, rng| {
-            vec![Value::Int(i as i64), Value::Double(rng.gen_range(0.0..1.0))]
+            Row::from([Value::Int(i as i64), Value::Double(rng.gen_range(0.0..1.0))])
         });
         for t in stream.sample(100) {
             assert!(schema.matches(&t));
@@ -222,7 +222,7 @@ mod tests {
             ..AppConfig::default()
         };
         let stream = ClosureStream::new(Schema::of(&[FieldType::Int]), &cfg, |i, _| {
-            vec![Value::Int(i as i64)]
+            Row::from([Value::Int(i as i64)])
         });
         let mut ids: Vec<i64> = (0..4)
             .flat_map(|inst| {
@@ -244,7 +244,7 @@ mod tests {
             ..AppConfig::default()
         };
         let stream = ClosureStream::new(Schema::of(&[FieldType::Int]), &cfg, |_, _| {
-            vec![Value::Int(0)]
+            Row::from([Value::Int(0)])
         });
         let tuples: Vec<Tuple> = stream.instance_iter(0, 1).collect();
         let span = (tuples.last().unwrap().event_time - tuples[0].event_time) as f64;

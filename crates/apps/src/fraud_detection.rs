@@ -6,7 +6,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::expr::{CmpOp, Predicate};
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::PlanBuilder;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,12 +45,12 @@ impl Udo for ScorerState {
         counts[prev][txn] += 1;
         entry.0 = txn;
         out.push(Tuple {
-            values: vec![
+            values: Row::from([
                 Value::Int(account),
                 Value::Int(txn as i64),
                 tuple.values.get(2).cloned().unwrap_or(Value::Double(0.0)),
                 Value::Double(score),
-            ],
+            ]),
             event_time: tuple.event_time,
             emit_ns: tuple.emit_ns,
         });
@@ -120,11 +120,11 @@ impl Application for FraudDetection {
             } else {
                 (i / 100 % 3) as i64
             };
-            vec![
+            Row::from([
                 Value::Int(account),
                 Value::Int(txn),
                 Value::Double(rng.gen_range(1.0..5_000.0)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("transactions", schema, 1)

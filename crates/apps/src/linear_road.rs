@@ -7,7 +7,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ impl Udo for TollState {
             let severity = (CONGESTION_SPEED - avg_speed) / CONGESTION_SPEED;
             let toll = BASE_TOLL * (1.0 + 2.0 * severity * severity);
             out.push(Tuple {
-                values: vec![Value::Int(segment), Value::Double(toll)],
+                values: Row::from([Value::Int(segment), Value::Double(toll)]),
                 event_time: tuple.event_time,
                 emit_ns: tuple.emit_ns,
             });
@@ -99,12 +99,12 @@ impl Application for LinearRoad {
             } else {
                 rng.gen_range(50.0..70.0)
             };
-            vec![
+            Row::from([
                 Value::Int(vehicle),
                 Value::Int(segment),
                 Value::Double(speed),
                 Value::Int(rng.gen_range(0..4)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("position-reports", schema, 1)

@@ -8,7 +8,7 @@ use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::expr::{CmpOp, Predicate};
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::sync::Arc;
@@ -43,11 +43,11 @@ impl Udo for GeoState {
         // /8 prefix selects the region bucket.
         let region = REGIONS[((ip >> 24) & 0x7) as usize];
         out.push(Tuple {
-            values: vec![
+            values: Row::from([
                 Value::str(region),
                 Value::Int(status),
                 tuple.values.get(2).cloned().unwrap_or(Value::Int(0)),
-            ],
+            ]),
             event_time: tuple.event_time,
             emit_ns: tuple.emit_ns,
         });
@@ -105,11 +105,11 @@ impl Application for LogProcessing {
                 93..=97 => 301,
                 _ => 500,
             };
-            vec![
+            Row::from([
                 Value::Int(ip),
                 Value::Int(status),
                 Value::Int(rng.gen_range(100..100_000)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("http-logs", schema, 1)

@@ -8,7 +8,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::expr::{CmpOp, Predicate};
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::PlanBuilder;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -56,11 +56,11 @@ impl Udo for ScorerState {
         };
         let score = self.score(machine, cpu);
         out.push(Tuple {
-            values: vec![
+            values: Row::from([
                 Value::Int(machine),
                 Value::Double(cpu),
                 Value::Double(score),
-            ],
+            ]),
             event_time: tuple.event_time,
             emit_ns: tuple.emit_ns,
         });
@@ -129,7 +129,7 @@ impl Application for MachineOutlier {
             } else {
                 base + rng.gen_range(-5.0..5.0)
             };
-            vec![Value::Int(machine), Value::Double(cpu)]
+            Row::from([Value::Int(machine), Value::Double(cpu)])
         });
         let plan = PlanBuilder::new()
             .source("readings", schema, 1)

@@ -9,7 +9,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::collections::HashMap;
@@ -70,7 +70,7 @@ impl Udo for ScorerState {
         }
         if hits > 0 {
             out.push(Tuple {
-                values: vec![Value::Int(topic), Value::Double(score / hits as f64)],
+                values: Row::from([Value::Int(topic), Value::Double(score / hits as f64)]),
                 event_time: tuple.event_time,
                 emit_ns: tuple.emit_ns,
             });
@@ -136,7 +136,7 @@ impl Application for SentimentAnalysis {
                 }
                 text.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
             }
-            vec![Value::Int(topic), Value::str(text)]
+            Row::from([Value::Int(topic), Value::str(text)])
         });
         let plan = PlanBuilder::new()
             .source("tweets", schema, 1)

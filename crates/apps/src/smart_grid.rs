@@ -9,7 +9,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::sync::Arc;
@@ -154,11 +154,11 @@ impl Application for SmartGrid {
             let house = plug / 10; // 10 plugs per house, 40 houses
                                    // Houses 0-3 run heavy appliances.
             let base = if house < 4 { 900.0 } else { 120.0 };
-            vec![
+            Row::from([
                 Value::Int(plug),
                 Value::Int(house),
                 Value::Double(base + rng.gen_range(0.0..80.0)),
-            ]
+            ])
         });
         // The DEBS'14 median is computed over *raw* readings, so the heavy
         // UDO sits directly on the full-rate stream; per-house load ratios

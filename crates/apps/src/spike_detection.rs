@@ -6,7 +6,7 @@
 use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStream};
 use crate::registry::AppInfo;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::PlanBuilder;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -47,11 +47,11 @@ impl Udo for DetectorState {
         }
         if window.len() >= 8 && value > SPIKE_FACTOR * avg_before {
             out.push(Tuple {
-                values: vec![
+                values: Row::from([
                     Value::Int(device),
                     Value::Double(value),
                     Value::Double(avg_before),
-                ],
+                ]),
                 event_time: tuple.event_time,
                 emit_ns: tuple.emit_ns,
             });
@@ -120,7 +120,7 @@ impl Application for SpikeDetection {
             } else {
                 base * rng.gen_range(0.95..1.05)
             };
-            vec![Value::Int(device), Value::Double(value)]
+            Row::from([Value::Int(device), Value::Double(value)])
         });
         let plan = PlanBuilder::new()
             .source("sensor-readings", schema, 1)

@@ -7,7 +7,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::expr::{CmpOp, Predicate, ScalarExpr};
-use pdsp_engine::value::{FieldType, Value};
+use pdsp_engine::value::{FieldType, Row, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 
@@ -40,12 +40,12 @@ impl Application for TpcH {
             ("discount", FieldType::Double),
         ]);
         let source = ClosureStream::new(schema.clone(), config, |_, rng| {
-            vec![
+            Row::from([
                 Value::Int(rng.gen_range(0..3i64)), // R/A/N
                 Value::Int(rng.gen_range(8_000..12_000i64)),
                 Value::Double(rng.gen_range(100.0..10_000.0)),
                 Value::Double(rng.gen_range(0.0..0.1)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("lineitem", schema, 1)

@@ -7,7 +7,7 @@ use crate::common::{named_schema, AppConfig, Application, BuiltApp, ClosureStrea
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::sync::Arc;
@@ -53,7 +53,7 @@ impl Udo for MatcherState {
         };
         let segment = Self::match_segment(lat, lon);
         out.push(Tuple {
-            values: vec![Value::Int(segment), Value::Double(speed)],
+            values: Row::from([Value::Int(segment), Value::Double(speed)]),
             event_time: tuple.event_time,
             emit_ns: tuple.emit_ns,
         });
@@ -111,12 +111,12 @@ impl Application for TrafficMonitoring {
             ("speed", FieldType::Double),
         ]);
         let source = ClosureStream::new(schema.clone(), config, |i, rng| {
-            vec![
+            Row::from([
                 Value::Int((i % 500) as i64),
                 Value::Double(rng.gen_range(0.0..GRID as f64)),
                 Value::Double(rng.gen_range(0.0..GRID as f64)),
                 Value::Double(rng.gen_range(5.0..90.0)),
-            ]
+            ])
         });
         let plan = PlanBuilder::new()
             .source("gps-fixes", schema, 1)

@@ -8,7 +8,7 @@ use crate::common::{
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
 use pdsp_engine::udo::{CostProfile, Udo, UdoFactory, UdoProperties};
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 use std::collections::HashMap;
@@ -35,7 +35,7 @@ impl Udo for ExtractorState {
         for token in text.split_whitespace() {
             if token.starts_with('#') && token.len() > 1 {
                 out.push(Tuple {
-                    values: vec![Value::str(token)],
+                    values: Row::from([Value::str(token)]),
                     event_time: tuple.event_time,
                     emit_ns: tuple.emit_ns,
                 });
@@ -108,11 +108,11 @@ impl Udo for RankerState {
             self.last_topk = names;
             for (rank, (tag, count)) in topk.into_iter().enumerate() {
                 out.push(Tuple {
-                    values: vec![
+                    values: Row::from([
                         Value::str(&tag),
                         Value::Int(rank as i64 + 1),
                         Value::Double(count),
-                    ],
+                    ]),
                     event_time: tuple.event_time,
                     emit_ns: tuple.emit_ns,
                 });
@@ -186,7 +186,7 @@ impl Application for TrendingTopics {
                 text.push(' ');
                 text.push_str(HASHTAGS[idx.min(HASHTAGS.len() - 1)]);
             }
-            vec![Value::str(text)]
+            Row::from([Value::str(text)])
         });
         let plan = PlanBuilder::new()
             .source("tweets", schema, 1)

@@ -8,7 +8,7 @@ use crate::common::{
 };
 use crate::registry::AppInfo;
 use pdsp_engine::agg::AggFunc;
-use pdsp_engine::value::{FieldType, Value};
+use pdsp_engine::value::{FieldType, Row, Value};
 use pdsp_engine::window::WindowSpec;
 use pdsp_engine::PlanBuilder;
 
@@ -31,7 +31,7 @@ impl Application for WordCount {
     fn build(&self, config: &AppConfig) -> BuiltApp {
         let schema = named_schema(&[("sentence", FieldType::Str)]);
         let source = ClosureStream::new(schema.clone(), config, |_, rng| {
-            vec![Value::str(random_sentence(rng, 8))]
+            Row::from([Value::str(random_sentence(rng, 8))])
         });
         let plan = PlanBuilder::new()
             .source("sentences", schema, 1)

@@ -70,5 +70,5 @@ pub use pressure::{OverloadConfig, PressureGauge, PressureLevel, ShedPolicy, She
 pub use runtime::{RunConfig, RunResult, ThreadedRuntime};
 pub use schema_flow::{FieldRead, IssueAt, IssueKind, SchemaFlow, SchemaIssue};
 pub use telemetry::telemetry_for_plan;
-pub use value::{Field, FieldType, Schema, Tuple, Value};
+pub use value::{Field, FieldType, Row, Schema, Tuple, Value};
 pub use window::{WindowKind, WindowPolicy, WindowSpec};

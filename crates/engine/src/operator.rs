@@ -12,7 +12,7 @@ use crate::error::{EngineError, Result};
 use crate::expr::{Predicate, ScalarExpr};
 use crate::state::JoinState;
 use crate::udo::{CostProfile, UdoRef};
-use crate::value::{Schema, Tuple, Value};
+use crate::value::{Row, Schema, Tuple, Value};
 use crate::window::{KeyedWindower, WindowSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -371,11 +371,10 @@ struct MapInstance {
 
 impl OperatorInstance for MapInstance {
     fn on_tuple(&mut self, _port: usize, tuple: Tuple, out: &mut Vec<Tuple>) -> Result<()> {
-        let values = self
-            .exprs
-            .iter()
-            .map(|e| e.eval(&tuple))
-            .collect::<Result<Vec<_>>>()?;
+        let mut values = Row::with_capacity(self.exprs.len());
+        for e in &self.exprs {
+            values.push(e.eval(&tuple)?);
+        }
         out.push(Tuple {
             values,
             event_time: tuple.event_time,
@@ -401,7 +400,7 @@ impl OperatorInstance for FlatMapSplitInstance {
         if let Some(s) = text.as_str() {
             for word in s.split_whitespace() {
                 out.push(Tuple {
-                    values: vec![Value::str(word)],
+                    values: Row::from([Value::str(word)]),
                     event_time: tuple.event_time,
                     emit_ns: tuple.emit_ns,
                 });
@@ -415,18 +414,34 @@ impl OperatorInstance for FlatMapSplitInstance {
 /// reports 0).
 fn emit_window_results(results: Vec<crate::window::WindowResult>, out: &mut Vec<Tuple>) {
     for r in results {
-        let mut values = Vec::with_capacity(3);
-        if let Some(k) = r.key {
-            values.push(k);
-        }
-        values.push(Value::Timestamp(r.window_end));
-        values.push(Value::Double(r.value.unwrap_or(0.0)));
+        let (end, value) = (
+            Value::Timestamp(r.window_end),
+            Value::Double(r.value.unwrap_or(0.0)),
+        );
+        let values = match r.key {
+            Some(k) => Row::from([k, end, value]),
+            None => Row::from([end, value]),
+        };
         out.push(Tuple {
             values,
             event_time: r.event_time,
             emit_ns: r.emit_ns,
         });
     }
+}
+
+/// The key field of a keyed window, refused like a missing aggregate field
+/// when the tuple is too narrow to have it (an `Opaque` UDO upstream can emit
+/// tuples narrower than the plan's schema says).
+fn key_of(tuple: &Tuple, key_field: Option<usize>) -> Result<Option<&Value>> {
+    key_field
+        .map(|k| {
+            tuple.values.get(k).ok_or(EngineError::FieldOutOfBounds {
+                index: k,
+                width: tuple.width(),
+            })
+        })
+        .transpose()
 }
 
 struct WindowAggInstance {
@@ -446,7 +461,7 @@ impl OperatorInstance for WindowAggInstance {
             })?
             .as_f64()
             .unwrap_or(1.0); // strings aggregate as presence (count-style)
-        let key = self.key_field.and_then(|k| tuple.values.get(k));
+        let key = key_of(&tuple, self.key_field)?;
         let mut results = Vec::new();
         self.windower.push(key, v, &tuple, &mut results);
         emit_window_results(results, out);
@@ -503,7 +518,7 @@ impl OperatorInstance for SessionAggInstance {
             })?
             .as_f64()
             .unwrap_or(1.0);
-        let key = self.key_field.and_then(|k| tuple.values.get(k));
+        let key = key_of(&tuple, self.key_field)?;
         let mut results = Vec::new();
         self.windower.push(key, v, &tuple, &mut results);
         emit_window_results(results, out);
@@ -719,6 +734,39 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].values[0], Value::Int(1));
         assert_eq!(out[0].values[2], Value::Double(30.0));
+    }
+
+    /// A tuple too narrow to have the key field is refused, not counted
+    /// under the global key `Int(0)` next to a real key 0.
+    #[test]
+    fn keyed_windows_refuse_a_tuple_without_its_key_field() {
+        let kinds = [
+            OpKind::WindowAggregate {
+                window: WindowSpec::tumbling_count(1),
+                func: AggFunc::Count,
+                agg_field: 0,
+                key_field: Some(1),
+            },
+            OpKind::SessionWindow {
+                gap_ms: 10,
+                func: AggFunc::Count,
+                agg_field: 0,
+                key_field: Some(1),
+            },
+        ];
+        for kind in kinds {
+            let mut inst = kind.instantiate();
+            let mut out = Vec::new();
+            let err = inst
+                .on_tuple(0, Tuple::new(vec![Value::Int(7)]), &mut out)
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::FieldOutOfBounds { index: 1, width: 1 }),
+                "{kind:?}: {err}"
+            );
+            inst.on_flush(&mut out);
+            assert!(out.is_empty(), "{kind:?}: nothing was counted: {out:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! opposite side on arrival.
 
 use crate::error::Result;
-use crate::value::{KeyMap, KeyValue, Tuple};
+use crate::value::{KeyMap, KeyValue, Row, Tuple};
 use crate::window::{decode_snapshot, WindowPolicy, WindowSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -151,7 +151,7 @@ impl JoinState {
                 } else {
                     (other, &tuple)
                 };
-                let mut values = Vec::with_capacity(l.values.len() + r.values.len());
+                let mut values = Row::with_capacity(l.values.len() + r.values.len());
                 values.extend_from_slice(&l.values);
                 values.extend_from_slice(&r.values);
                 out.push(Tuple {

@@ -6,6 +6,10 @@
 //! inside the 24-byte `Value`, so a word is copied, hashed and dropped without
 //! touching the heap; a longer string stays behind an `Arc<str>`, so fan-out
 //! partitioning (broadcast, multi-consumer shuffles) still clones it cheaply.
+//! A tuple's fields are a [`Row`]: up to 3 values sit inside the tuple, so a
+//! word, a window result or an AD event is built, shipped between threads
+//! and dropped without touching the heap; a wider row (a join's concatenation,
+//! a 15-field generated tuple) keeps its values in a `Vec<Value>`.
 
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -224,7 +228,7 @@ enum Repr {
 
 /// The length of an inline string. An enum rather than a `u8`, so the byte
 /// values 23 to 255 are a niche in which `Repr` and then `Value` keep their
-/// tags: `Value` stays 24 bytes and `Tuple` 40.
+/// tags, so `Value` stays 24 bytes.
 #[rustfmt::skip]
 #[derive(Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -404,11 +408,284 @@ impl Schema {
     }
 }
 
-/// A data tuple flowing through the dataflow graph.
+/// Values a [`Row`] keeps inside itself: every WordCount tuple (a word, a
+/// `key, window_end, count` result), AdAnalytics' inputs and its CTR report.
+const ROW_INLINE: usize = 3;
+
+/// What an unused inline slot of a [`Row`] holds: a value with nothing to
+/// free, never read.
+const FILLER: Value = Value::Int(0);
+
+/// The field values of a [`Tuple`], read as a `[Value]` through `Deref`.
+///
+/// A row of up to 3 values keeps them inline, so building, cloning, sending
+/// and dropping it costs no allocation; a longer row keeps them in a
+/// `Vec<Value>`. Equality, `Debug` and serde go through the slice,
+/// so which form holds a row is never observable: a row cut back to 3 values
+/// may stay on the heap and still equals the inline row of the same values.
+#[derive(Clone)]
+pub struct Row(RowRepr);
+
+#[derive(Clone)]
+enum RowRepr {
+    /// The first `len` slots of `vals` are the row; the rest hold [`FILLER`].
+    Inline {
+        len: u8,
+        vals: [Value; ROW_INLINE],
+    },
+    Heap(Vec<Value>),
+}
+
+impl Row {
+    /// An empty row.
+    pub const fn new() -> Self {
+        Row(RowRepr::Inline {
+            len: 0,
+            vals: [FILLER; ROW_INLINE],
+        })
+    }
+
+    /// An empty row with room for `capacity` values without reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        if capacity <= ROW_INLINE {
+            Row::new()
+        } else {
+            Row(RowRepr::Heap(Vec::with_capacity(capacity)))
+        }
+    }
+
+    /// The values.
+    pub fn as_slice(&self) -> &[Value] {
+        match &self.0 {
+            RowRepr::Inline { len, vals } => &vals[..*len as usize],
+            RowRepr::Heap(v) => v,
+        }
+    }
+
+    /// Append a value; the 4th value of an inline row moves the row to the
+    /// heap.
+    pub fn push(&mut self, value: Value) {
+        match &mut self.0 {
+            RowRepr::Inline { len, vals } if (*len as usize) < ROW_INLINE => {
+                vals[*len as usize] = value;
+                *len += 1;
+            }
+            _ => self.spill(ROW_INLINE + 1).push(value),
+        }
+    }
+
+    /// Append clones of `values`.
+    pub fn extend_from_slice(&mut self, values: &[Value]) {
+        let need = self.len() + values.len();
+        match &mut self.0 {
+            RowRepr::Inline { len, vals } if need <= ROW_INLINE => {
+                for (slot, v) in vals[*len as usize..need].iter_mut().zip(values) {
+                    *slot = v.clone();
+                }
+                *len = need as u8;
+            }
+            _ => self.spill(need).extend_from_slice(values),
+        }
+    }
+
+    /// Keep the first `n` values (all of them if there are fewer).
+    pub fn truncate(&mut self, n: usize) {
+        match &mut self.0 {
+            RowRepr::Inline { len, vals } => {
+                if n < *len as usize {
+                    vals[n..*len as usize].fill(FILLER);
+                    *len = n as u8;
+                }
+            }
+            RowRepr::Heap(v) => v.truncate(n),
+        }
+    }
+
+    /// Remove and return the last value.
+    pub fn pop(&mut self) -> Option<Value> {
+        match &mut self.0 {
+            RowRepr::Inline { len, vals } => {
+                let last = (*len as usize).checked_sub(1)?;
+                *len = last as u8;
+                Some(std::mem::replace(&mut vals[last], FILLER))
+            }
+            RowRepr::Heap(v) => v.pop(),
+        }
+    }
+
+    /// Remove every value.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// The values as a `Vec`, reusing a heap row's buffer.
+    pub fn into_vec(self) -> Vec<Value> {
+        match self.0 {
+            RowRepr::Inline { len, vals } => vals.into_iter().take(len as usize).collect(),
+            RowRepr::Heap(v) => v,
+        }
+    }
+
+    /// The heap form of this row, with room for `capacity` values: moves an
+    /// inline row's values into a new `Vec`.
+    fn spill(&mut self, capacity: usize) -> &mut Vec<Value> {
+        if let RowRepr::Inline { len, vals } = &mut self.0 {
+            let mut heap = Vec::with_capacity(capacity.max(*len as usize));
+            heap.extend(
+                vals[..*len as usize]
+                    .iter_mut()
+                    .map(|slot| std::mem::replace(slot, FILLER)),
+            );
+            self.0 = RowRepr::Heap(heap);
+        }
+        match &mut self.0 {
+            RowRepr::Heap(v) => v,
+            RowRepr::Inline { .. } => unreachable!("spilled above"),
+        }
+    }
+}
+
+impl Default for Row {
+    fn default() -> Self {
+        Row::new()
+    }
+}
+
+impl Deref for Row {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Row {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
+}
+
+// A plain JSON array, whichever form holds the row, so snapshot text does
+// not depend on the representation.
+impl Serialize for Row {
+    fn to_json_value(&self) -> serde::Value {
+        self.as_slice().to_json_value()
+    }
+}
+
+impl Deserialize for Row {
+    fn from_json_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        Vec::<Value>::from_json_value(value).map(Row::from)
+    }
+}
+
+/// A row of at most 3 values moves inline (and frees the `Vec`); a longer one
+/// keeps the `Vec`.
+impl From<Vec<Value>> for Row {
+    fn from(values: Vec<Value>) -> Self {
+        if values.len() > ROW_INLINE {
+            return Row(RowRepr::Heap(values));
+        }
+        values.into_iter().collect()
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Row {
+    fn from(values: [Value; N]) -> Self {
+        if N > ROW_INLINE {
+            return Row(RowRepr::Heap(Vec::from(values)));
+        }
+        let mut vals = [FILLER; ROW_INLINE];
+        for (slot, v) in vals.iter_mut().zip(values) {
+            *slot = v;
+        }
+        Row(RowRepr::Inline { len: N as u8, vals })
+    }
+}
+
+impl FromIterator<Value> for Row {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut row = Row::with_capacity(iter.size_hint().0);
+        for v in iter {
+            row.push(v);
+        }
+        row
+    }
+}
+
+/// The owning iterator of a [`Row`].
+pub struct RowIntoIter(IntoIterRepr);
+
+enum IntoIterRepr {
+    Inline(std::iter::Take<std::array::IntoIter<Value, ROW_INLINE>>),
+    Heap(std::vec::IntoIter<Value>),
+}
+
+impl Iterator for RowIntoIter {
+    type Item = Value;
+
+    fn next(&mut self) -> Option<Value> {
+        match &mut self.0 {
+            IntoIterRepr::Inline(it) => it.next(),
+            IntoIterRepr::Heap(it) => it.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IntoIterRepr::Inline(it) => it.size_hint(),
+            IntoIterRepr::Heap(it) => it.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for RowIntoIter {
+    fn next_back(&mut self) -> Option<Value> {
+        match &mut self.0 {
+            IntoIterRepr::Inline(it) => it.next_back(),
+            IntoIterRepr::Heap(it) => it.next_back(),
+        }
+    }
+}
+
+impl ExactSizeIterator for RowIntoIter {}
+
+impl IntoIterator for Row {
+    type Item = Value;
+    type IntoIter = RowIntoIter;
+
+    fn into_iter(self) -> RowIntoIter {
+        RowIntoIter(match self.0 {
+            RowRepr::Inline { len, vals } => {
+                IntoIterRepr::Inline(vals.into_iter().take(len as usize))
+            }
+            RowRepr::Heap(v) => IntoIterRepr::Heap(v.into_iter()),
+        })
+    }
+}
+
+impl<'a> IntoIterator for &'a Row {
+    type Item = &'a Value;
+    type IntoIter = std::slice::Iter<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+/// A data tuple flowing through the dataflow graph. Its fields are a
+/// [`Row`], so a tuple of up to 3 values is one allocation-free 96-byte
+/// value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tuple {
     /// Field values.
-    pub values: Vec<Value>,
+    pub values: Row,
     /// Event time in milliseconds (set by the source, used by time windows).
     pub event_time: i64,
     /// Wall-clock (or simulated-clock) nanoseconds at which the source
@@ -418,18 +695,18 @@ pub struct Tuple {
 
 impl Tuple {
     /// Construct a tuple with event time 0.
-    pub fn new(values: Vec<Value>) -> Self {
+    pub fn new(values: impl Into<Row>) -> Self {
         Tuple {
-            values,
+            values: values.into(),
             event_time: 0,
             emit_ns: 0,
         }
     }
 
     /// Construct with an explicit event time (ms).
-    pub fn at(values: Vec<Value>, event_time: i64) -> Self {
+    pub fn at(values: impl Into<Row>, event_time: i64) -> Self {
         Tuple {
-            values,
+            values: values.into(),
             event_time,
             emit_ns: 0,
         }
@@ -593,10 +870,194 @@ mod tests {
     /// 23 bytes: the last character's two bytes straddle the inline limit.
     const S23_MB: &str = "abcdefghijklmnopqrstuž";
 
+    /// A tuple carries up to 3 values inline: 3 × 24 bytes and the length
+    /// make a `Row` of 80, plus the two timestamps.
     #[test]
     fn value_and_tuple_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Value>(), 24);
-        assert_eq!(std::mem::size_of::<Tuple>(), 40);
+        assert_eq!(std::mem::size_of::<Row>(), 80);
+        assert_eq!(std::mem::size_of::<Tuple>(), 96);
+    }
+
+    /// Values of every variant, one of them a string beyond the inline limit.
+    fn seven() -> Vec<Value> {
+        vec![
+            Value::Int(-3),
+            Value::str("word"),
+            Value::Double(1.5),
+            Value::Bool(true),
+            Value::Timestamp(17),
+            Value::str("a string longer than the inline limit"),
+            Value::Int(i64::MAX),
+        ]
+    }
+
+    fn model(width: usize) -> Vec<Value> {
+        (0..width as i64)
+            .map(|i| match i % 3 {
+                0 => Value::Int(i),
+                1 => Value::str(format!("w{i}")),
+                _ => Value::str(format!("a longer string than fits inline {i}")),
+            })
+            .collect()
+    }
+
+    fn is_inline(row: &Row) -> bool {
+        matches!(row.0, RowRepr::Inline { .. })
+    }
+
+    /// Everything a caller can see of `row` is what it sees of `model`.
+    fn assert_models(row: &Row, model: &[Value]) {
+        assert_eq!(row.as_slice(), model);
+        assert_eq!(row.len(), model.len());
+        for (i, v) in model.iter().enumerate() {
+            assert_eq!(&row[i], v);
+        }
+        assert_eq!(row.get(model.len()), None);
+        assert!(row.iter().eq(model.iter()));
+        assert!((&row.clone()).into_iter().eq(model.iter()));
+        assert!(row.clone().into_iter().eq(model.iter().cloned()));
+        assert!(row
+            .clone()
+            .into_iter()
+            .rev()
+            .eq(model.iter().rev().cloned()));
+        assert_eq!(row.clone().into_iter().len(), model.len());
+        assert_eq!(row.clone().into_vec(), model);
+        assert_eq!(row.clone(), *row);
+        assert_eq!(*row, Row::from(model.to_vec()));
+        assert_eq!(format!("{row:?}"), format!("{model:?}"));
+        assert_eq!(
+            serde_json::to_string(row).unwrap(),
+            serde_json::to_string(&model.to_vec()).unwrap()
+        );
+    }
+
+    #[test]
+    fn row_behaves_like_a_vec_of_values() {
+        for width in 0..=8 {
+            let want = model(width);
+            let mut pushed = Row::new();
+            for v in &want {
+                pushed.push(v.clone());
+            }
+            assert_eq!(is_inline(&pushed), width <= ROW_INLINE, "width {width}");
+            assert_models(&pushed, &want);
+            assert_models(&Row::from(want.clone()), &want);
+            assert_models(&want.iter().cloned().collect(), &want);
+            for split in 0..=width {
+                let mut row = Row::new();
+                row.extend_from_slice(&want[..split]);
+                row.extend_from_slice(&want[split..]);
+                assert_models(&row, &want);
+                let mut row = Row::from(want[..split].to_vec());
+                for v in &want[split..] {
+                    row.push(v.clone());
+                }
+                assert_models(&row, &want);
+            }
+            for cut in 0..=width + 1 {
+                let mut row = Row::from(want.clone());
+                let mut vec = want.clone();
+                row.truncate(cut);
+                vec.truncate(cut);
+                assert_models(&row, &vec);
+                // Grows again from the cut, whichever form it kept.
+                row.push(Value::Bool(false));
+                vec.push(Value::Bool(false));
+                assert_models(&row, &vec);
+            }
+            let (mut row, mut vec) = (Row::from(want.clone()), want.clone());
+            loop {
+                assert_eq!(row.pop(), vec.pop());
+                assert_models(&row, &vec);
+                if vec.is_empty() {
+                    assert_eq!(row.pop(), None);
+                    break;
+                }
+            }
+            let mut row = Row::from(want.clone());
+            row.clear();
+            assert_models(&row, &[]);
+        }
+    }
+
+    #[test]
+    fn rows_from_arrays_take_either_form() {
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| model(4)[i].clone());
+        assert_models(&Row::from([]), &[]);
+        assert_models(&Row::from([a.clone()]), &model(1));
+        assert_models(&Row::from([a.clone(), b.clone(), c.clone()]), &model(3));
+        let wide = Row::from([a, b, c, d]);
+        assert!(!is_inline(&wide));
+        assert_models(&wide, &model(4));
+    }
+
+    #[test]
+    fn a_heap_row_cut_back_equals_the_inline_row() {
+        let values = model(7);
+        for cut in 0..=ROW_INLINE {
+            let mut heap = Row::from(values.clone());
+            heap.truncate(cut);
+            let inline: Row = values[..cut].iter().cloned().collect();
+            assert!(!is_inline(&heap) && is_inline(&inline));
+            assert_eq!(heap, inline);
+            assert_eq!(Tuple::at(heap.clone(), 4), Tuple::at(inline.clone(), 4));
+            assert_eq!(format!("{heap:?}"), format!("{inline:?}"));
+            assert_eq!(
+                serde_json::to_string(&heap).unwrap(),
+                serde_json::to_string(&inline).unwrap()
+            );
+        }
+        let mut cut = Row::from(vec![Value::Int(1), Value::Int(2)]);
+        cut.truncate(1);
+        assert_ne!(cut, Row::from([Value::Int(1), Value::Int(2)]));
+        assert_eq!(cut, Row::from([Value::Int(1)]));
+    }
+
+    /// The JSON and `Debug` text of tuples either side of the inline limit,
+    /// as they were when a tuple's values were a `Vec<Value>`.
+    #[test]
+    fn tuples_keep_their_json_and_debug_text() {
+        let golden = [
+            (
+                0,
+                r#"{"values":[],"event_time":1000,"emit_ns":7}"#,
+                "Tuple { values: [], event_time: 1000, emit_ns: 7 }",
+            ),
+            (
+                1,
+                r#"{"values":[{"Int":-3}],"event_time":1001,"emit_ns":7}"#,
+                "Tuple { values: [Int(-3)], event_time: 1001, emit_ns: 7 }",
+            ),
+            (
+                3,
+                r#"{"values":[{"Int":-3},{"Str":"word"},{"Double":1.5}],"event_time":1003,"emit_ns":7}"#,
+                r#"Tuple { values: [Int(-3), Str("word"), Double(1.5)], event_time: 1003, emit_ns: 7 }"#,
+            ),
+            (
+                4,
+                r#"{"values":[{"Int":-3},{"Str":"word"},{"Double":1.5},{"Bool":true}],"event_time":1004,"emit_ns":7}"#,
+                r#"Tuple { values: [Int(-3), Str("word"), Double(1.5), Bool(true)], event_time: 1004, emit_ns: 7 }"#,
+            ),
+            (
+                7,
+                r#"{"values":[{"Int":-3},{"Str":"word"},{"Double":1.5},{"Bool":true},{"Timestamp":17},{"Str":"a string longer than the inline limit"},{"Int":9223372036854775807}],"event_time":1007,"emit_ns":7}"#,
+                r#"Tuple { values: [Int(-3), Str("word"), Double(1.5), Bool(true), Timestamp(17), Str("a string longer than the inline limit"), Int(9223372036854775807)], event_time: 1007, emit_ns: 7 }"#,
+            ),
+        ];
+        for (width, json, debug) in golden {
+            let t = Tuple {
+                values: Row::from(seven()[..width].to_vec()),
+                event_time: 1000 + width as i64,
+                emit_ns: 7,
+            };
+            assert_eq!(serde_json::to_string(&t).unwrap(), json, "width {width}");
+            assert_eq!(format!("{t:?}"), debug, "width {width}");
+            let back: Tuple = serde_json::from_str(json).unwrap();
+            assert_eq!(back, t);
+            assert_eq!(is_inline(&back.values), width <= ROW_INLINE);
+        }
     }
 
     #[test]

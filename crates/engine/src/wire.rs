@@ -33,7 +33,7 @@
 //! the same bytes.
 
 use crate::message::{Batch, FrameTrace, Message};
-use crate::value::{Tuple, Value};
+use crate::value::{Row, Tuple, Value};
 use pdsp_telemetry::{SpanId, TraceContext, TraceId};
 use std::io;
 
@@ -217,7 +217,7 @@ impl<'a> Reader<'a> {
         let event_time = self.u64()? as i64;
         let emit_ns = self.u64()?;
         let width = self.count(MIN_VALUE_BYTES)?;
-        let mut values = Vec::with_capacity(width);
+        let mut values = Row::with_capacity(width);
         for _ in 0..width {
             values.push(self.value()?);
         }
@@ -423,7 +423,8 @@ mod tests {
                         Value::Bool(true),
                         Value::Timestamp(i64::MAX),
                         Value::str(""),
-                    ],
+                    ]
+                    .into(),
                     event_time: -7,
                     emit_ns: u64::MAX,
                 },
@@ -469,6 +470,39 @@ mod tests {
         (msg, bytes, tags, lengths)
     }
 
+    /// A tuple either side of a row's inline capacity (3 values inline, 4 on
+    /// the heap) encodes to the bytes of a frame from before tuples kept
+    /// their values inline, and decodes back to equal tuples.
+    #[test]
+    fn rows_either_side_of_the_inline_capacity_keep_their_wire_bytes() {
+        let msg = Message::Batch(Batch::new(vec![
+            Tuple::at([Value::Int(5), Value::str("ab"), Value::Double(0.25)], 9),
+            Tuple::at(
+                [
+                    Value::Int(-3),
+                    Value::str("word"),
+                    Value::Double(1.5),
+                    Value::Bool(true),
+                ],
+                10,
+            ),
+        ]));
+        #[rustfmt::skip]
+        let want: &[u8] = &[
+            2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0,
+            9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0,
+            0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 97, 98,
+            1, 0, 0, 0, 0, 0, 0, 208, 63,
+            10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0,
+            0, 253, 255, 255, 255, 255, 255, 255, 255, 2, 4, 0, 0, 0, 119, 111, 114, 100,
+            1, 0, 0, 0, 0, 0, 0, 248, 63, 3, 1,
+        ];
+        assert_eq!(encoded(2, 1, &msg), want);
+        let (instance, channel, back) = decode_frame(want).unwrap();
+        assert_eq!((instance, channel), (2, 1));
+        assert!(identical(&back, &msg));
+    }
+
     /// Strings either side of the inline limit encode as they always have:
     /// tag, `u32` length, bytes (the bytes of a frame from before strings
     /// were stored inline).
@@ -481,7 +515,7 @@ mod tests {
                 [String::new(), s22.into(), s23.into(), s299.into()]
                     .iter()
                     .map(Value::str)
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )],
             trace: None,
         });

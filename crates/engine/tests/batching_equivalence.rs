@@ -161,7 +161,7 @@ fn run_plan(plan: &LogicalPlan, batch_size: usize, bursty: Option<u64>) -> Vec<V
 }
 
 fn multiset(rows: Vec<Tuple>) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|t| t.values).collect();
+    let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|t| t.values.into_vec()).collect();
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
 }

@@ -41,7 +41,7 @@ fn dist_config(run: RunConfig, workers: usize) -> DistributedConfig {
 
 /// Sink tuples as a sorted multiset of value rows.
 fn multiset(res: &RunResult) -> Vec<Vec<Value>> {
-    sorted(res.sink_tuples.iter().map(|t| t.values.clone()).collect())
+    sorted(res.sink_tuples.iter().map(|t| t.values.to_vec()).collect())
 }
 
 fn threaded_reference(seed: u64, tuples: u64, run: RunConfig) -> RunResult {
@@ -58,7 +58,10 @@ fn threaded_reference(seed: u64, tuples: u64, run: RunConfig) -> RunResult {
 /// whatever the arrival order. Rows of seeds 0 and 1 are `[key, aggregate]`.
 fn oracle(seed: u64, tuples: u64) -> Vec<Vec<Value>> {
     let (_, sources) = testplan::build(seed, tuples, 0).unwrap();
-    let stream: Vec<Vec<Value>> = sources[0].instance_iter(0, 1).map(|t| t.values).collect();
+    let stream: Vec<Vec<Value>> = sources[0]
+        .instance_iter(0, 1)
+        .map(|t| t.values.into_vec())
+        .collect();
     let (n, sum) = match seed % 3 {
         0 => (8, true),
         1 => (16, false),
@@ -99,7 +102,7 @@ fn threaded_reference_matches_the_closed_form_oracle() {
             .sink_tuples
             .iter()
             .map(|t| match seed {
-                2 => t.values.clone(),
+                2 => t.values.to_vec(),
                 // `WindowAggInstance::emit`: key, window end, aggregate.
                 _ => match &t.values[..] {
                     [key, Value::Timestamp(_), agg] => vec![key.clone(), agg.clone()],

@@ -273,7 +273,7 @@ fn deterministic_plan(rng: &mut Rng) -> LogicalPlan {
 }
 
 fn multiset(rows: Vec<Tuple>) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|t| t.values).collect();
+    let mut rows: Vec<Vec<Value>> = rows.into_iter().map(|t| t.values.into_vec()).collect();
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
 }

@@ -7,7 +7,7 @@ use pdsp_engine::runtime::{RunConfig, ThreadedRuntime, VecSource};
 use pdsp_engine::{FieldType, Partitioning, PhysicalPlan, PlanBuilder, Schema, Tuple, Value};
 
 fn multiset(tuples: &[Tuple]) -> Vec<Vec<Value>> {
-    let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| t.values.clone()).collect();
+    let mut rows: Vec<Vec<Value>> = tuples.iter().map(|t| t.values.to_vec()).collect();
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
 }

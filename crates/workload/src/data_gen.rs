@@ -7,7 +7,7 @@
 use crate::distributions::{PoissonGaps, Zipf};
 use crate::space::ParameterSpace;
 use pdsp_engine::runtime::SourceFactory;
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -135,7 +135,7 @@ impl SyntheticStream {
         (0..n)
             .map(|_| {
                 t_ns += gaps.next_gap_ns(&mut rng);
-                let values = self
+                let values: Row = self
                     .config
                     .schema
                     .fields
@@ -178,7 +178,7 @@ impl SourceFactory for SyntheticStream {
         let ooo = self.config.out_of_order_ms;
         Box::new((0..count).map(move |_| {
             t_ns += gaps.next_gap_ns(&mut rng);
-            let values = schema
+            let values: Row = schema
                 .fields
                 .iter()
                 .map(|f| this.gen_value(f.ty, &mut rng))

@@ -18,7 +18,7 @@
 //! `[Int key, Double value]` tuples.
 
 use pdsp_engine::runtime::SourceFactory;
-use pdsp_engine::value::{FieldType, Schema, Tuple, Value};
+use pdsp_engine::value::{FieldType, Row, Schema, Tuple, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -225,7 +225,7 @@ impl HazardStream {
             late_by = late_by.max(0);
             let et = (t_ms as i64 - late_by).max(0);
             out.push(Tuple::at(
-                vec![Value::Int(key), Value::Double(rng.gen_range(0.0..100.0))],
+                Row::from([Value::Int(key), Value::Double(rng.gen_range(0.0..100.0))]),
                 et,
             ));
         }

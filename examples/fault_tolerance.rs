@@ -68,7 +68,7 @@ fn multiset(res: &FtRunResult) -> Vec<Vec<Value>> {
         .result
         .sink_tuples
         .iter()
-        .map(|t| t.values.clone())
+        .map(|t| t.values.to_vec())
         .collect();
     rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
     rows
